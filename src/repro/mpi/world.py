@@ -101,14 +101,12 @@ class MpiWorld:
         self.sim = cluster.sim
         self.config = config or MpiConfig()
         #: rank -> (node index, gpu index or None); the node-locality
-        #: queries below (and the hierarchical collectives built on
-        #: them) read this, so the world keeps its placement map
+        #: queries below (which the autotuner's collective keys use)
+        #: read this, so the world keeps its placement map
         self.placements: tuple[tuple[int, Optional[int]], ...] = tuple(
             (n, g) for n, g in placements
         )
-        self._node_ranks: dict[int, list[int]] = {}
-        for rank, (node_i, _gpu_i) in enumerate(self.placements):
-            self._node_ranks.setdefault(node_i, []).append(rank)
+        self._num_nodes = len({node_i for node_i, _gpu_i in self.placements})
         #: scratch tables collectives use to exchange per-call metadata
         #: out-of-band (keyed by (op, seq); see repro.mpi.collectives)
         self._coll_rendezvous: dict = {}
@@ -201,15 +199,7 @@ class MpiWorld:
     @property
     def num_nodes(self) -> int:
         """How many distinct cluster nodes hold at least one rank."""
-        return len(self._node_ranks)
-
-    def ranks_on_node(self, node_i: int) -> list[int]:
-        """All ranks placed on node ``node_i``, in rank order."""
-        return list(self._node_ranks.get(node_i, ()))
-
-    def node_leader(self, rank: int) -> int:
-        """The lowest rank on ``rank``'s node (the hierarchical leader)."""
-        return self._node_ranks[self.node_index(rank)][0]
+        return self._num_nodes
 
     # -- running programs ------------------------------------------------------
     def run(
@@ -391,21 +381,6 @@ class RankContext:
     def node_index(self) -> int:
         """Cluster node index this rank is placed on."""
         return self.world.node_index(self.rank)
-
-    @property
-    def node_ranks(self) -> list[int]:
-        """All ranks sharing this rank's node, in rank order."""
-        return self.world.ranks_on_node(self.node_index)
-
-    @property
-    def node_leader(self) -> int:
-        """Lowest rank on this node (hierarchical-collective leader)."""
-        return self.world.node_leader(self.rank)
-
-    @property
-    def is_node_leader(self) -> bool:
-        """True when this rank is its node's leader."""
-        return self.node_leader == self.rank
 
     # -- memory helpers ------------------------------------------------------
     def device_alloc(self, nbytes: int, label: str = "") -> Buffer:

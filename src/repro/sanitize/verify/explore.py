@@ -26,8 +26,8 @@ Scenarios cover the protocol matrix: ``eager`` (single-AM path, with a
 wildcard receive), ``rendezvous`` (pipelined RTS/CTS with small
 fragments), the three ``smoke-*`` environments of
 :mod:`repro.bench.smoke` (ipc_rdma / copyinout / host), and
-``coll_crossover`` (alltoall over a 2x2 world on both sides of the
-staged/direct crossover).
+``coll_crossover`` (staged and direct bcast, gather, allgather and
+alltoall over a 2x2 world).
 """
 
 from __future__ import annotations
@@ -235,12 +235,20 @@ def _eager_scenario(sim: Simulator) -> str:
 
 
 def _coll_scenario(sim: Simulator) -> str:
-    """Alltoall over a 2x2 world on both sides of the staged/direct
-    crossover (the ``coll_crossover`` bench scenario's protagonists)."""
+    """The staged wrapper and the direct helper under every collective:
+    bcast, gather, allgather and alltoall over a 2x2 world, each run
+    STAGED then DIRECT (the ``coll_crossover`` bench scenario's
+    protagonists), with every received block in the digest."""
     from repro.hw.node import Cluster
     from repro.datatype.ddt import contiguous
     from repro.datatype.primitives import DOUBLE
-    from repro.mpi.collectives import CollAlgorithm, alltoall
+    from repro.mpi.collectives import (
+        CollAlgorithm,
+        allgather,
+        alltoall,
+        bcast,
+        gather,
+    )
     from repro.mpi.config import MpiConfig
     from repro.mpi.world import MpiWorld
 
@@ -250,25 +258,50 @@ def _coll_scenario(sim: Simulator) -> str:
     size = 4
     dt = contiguous(256, DOUBLE).commit()  # 2 KB per peer block
     rng = np.random.default_rng(13)
-    sendbufs, recvbufs = [], []
-    for r in range(size):
-        ctx = world.procs[r].ctx
-        srow, rrow = [], []
-        for _ in range(size):
-            sb = ctx.malloc(dt.size)
-            sb.bytes[:] = rng.integers(0, 255, dt.size, dtype=np.uint8)
-            rb = ctx.malloc(dt.size)
-            rb.fill(0)
-            srow.append(sb)
-            rrow.append(rb)
-        sendbufs.append(srow)
-        recvbufs.append(rrow)
+
+    def blocks(fill: bool) -> list:
+        """``size`` device blocks per rank, random-filled or zeroed."""
+        out = []
+        for r in range(size):
+            row = [world.procs[r].ctx.malloc(dt.size) for _ in range(size)]
+            for b in row:
+                if fill:
+                    b.bytes[:] = rng.integers(0, 255, dt.size, dtype=np.uint8)
+                else:
+                    b.fill(0)
+            out.append(row)
+        return out
+
+    algos = (CollAlgorithm.STAGED, CollAlgorithm.DIRECT)
+    sendbufs = blocks(True)
+    # every rung lands in its own receive blocks, so each is in the digest
+    bcastbufs = blocks(False)
+    gathered = [blocks(False) for _ in algos]
+    allgathered = [blocks(False) for _ in algos]
+    recvbufs = [blocks(False) for _ in algos]
+    for i in range(len(algos)):
+        # rank i broadcasts its block i on rung i
+        bcastbufs[i][i].bytes[:] = rng.integers(0, 255, dt.size, dtype=np.uint8)
 
     def program(rank):
         def run(mpi):
-            for algo in (CollAlgorithm.STAGED, CollAlgorithm.DIRECT):
+            for i, algo in enumerate(algos):
+                yield from bcast(
+                    mpi, bcastbufs[rank][i], dt, 1, root=i, algorithm=algo
+                )
+                root = size - 1 - i
+                yield from gather(
+                    mpi, sendbufs[rank][i], dt, 1,
+                    gathered[i][rank] if rank == root else None,
+                    dt if rank == root else None, 1,
+                    root=root, algorithm=algo,
+                )
+                yield from allgather(
+                    mpi, sendbufs[rank][i], dt, 1, allgathered[i][rank], dt, 1,
+                    algorithm=algo,
+                )
                 yield from alltoall(
-                    mpi, sendbufs[rank], dt, 1, recvbufs[rank], dt, 1,
+                    mpi, sendbufs[rank], dt, 1, recvbufs[i][rank], dt, 1,
                     algorithm=algo,
                 )
                 yield mpi.barrier()
@@ -278,9 +311,10 @@ def _coll_scenario(sim: Simulator) -> str:
     world.finalize()
 
     h = _hasher()
-    for r in range(size):
-        for b in recvbufs[r]:
-            h.update(b.bytes.tobytes())
+    for rows in (bcastbufs, *gathered, *allgathered, *recvbufs):
+        for r in range(size):
+            for b in rows[r]:
+                h.update(b.bytes.tobytes())
     return h.hexdigest()
 
 
@@ -351,7 +385,7 @@ SCENARIOS: dict[str, Callable[[Simulator], str]] = {
     "smoke-cpu": lambda sim: _pingpong_scenario(
         sim, "cpu", n=128, iters=1, frag_bytes=16 * 1024
     ),
-    # collective crossover: staged + direct alltoall on a 2x2 world
+    # collective crossover: staged + direct bcast/gather/allgather/alltoall
     "coll_crossover": _coll_scenario,
     # tuned multi-tenant traffic replay (frozen synthetic decision table)
     "traffic": _traffic_scenario,

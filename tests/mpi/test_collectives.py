@@ -146,15 +146,22 @@ class TestTagSpaces:
             assert _op_tag("bcast", k) != _op_tag("gather", k)
 
     def test_all_op_subspaces_disjoint(self):
+        """One tag per (op, seq), inside the op's own sub-space."""
         seen: dict[int, tuple] = {}
         for op in _COLL_OP_INDEX:
-            for seq in (0, 1, 7, 1000, (1 << 15) - 1):
-                for phase in range(4):
-                    tag = _op_tag(op, seq, phase)
-                    lo = _COLL_TAG_BASE + _COLL_OP_INDEX[op] * _COLL_OP_SPAN
-                    assert lo <= tag < lo + _COLL_OP_SPAN
-                    assert tag not in seen, (op, seq, phase, seen[tag])
-                    seen[tag] = (op, seq, phase)
+            lo = _COLL_TAG_BASE + _COLL_OP_INDEX[op] * _COLL_OP_SPAN
+            for seq in (0, 1, 2, 3, 4, 7, 1000, _COLL_OP_SPAN - 1):
+                tag = _op_tag(op, seq)
+                assert lo <= tag < lo + _COLL_OP_SPAN
+                assert tag not in seen, (op, seq, seen[tag])
+                seen[tag] = (op, seq)
+
+    def test_consecutive_calls_use_consecutive_tags(self):
+        """No phase slots: call k+1's tag directly follows call k's, and
+        the sequence wraps only after a full sub-space of calls."""
+        for op in _COLL_OP_INDEX:
+            assert _op_tag(op, 1) == _op_tag(op, 0) + 1
+            assert _op_tag(op, _COLL_OP_SPAN) == _op_tag(op, 0)
 
     def test_interleaved_collective_types(self, rng):
         """Two different collectives back-to-back under AM delays.
@@ -259,6 +266,71 @@ class TestGatherValidation:
             world.run({r: program(r) for r in range(3)})
 
 
+class TestRejectedCallKeepsSequence:
+    """A rejected call must not consume a tag sequence number.
+
+    Only the rejected rank sees the error; if it had already bumped its
+    per-op sequence, its corrected retry would use the next call's tag
+    while every other rank still uses this call's, and the run would
+    deadlock.
+    """
+
+    def _world_and_buffers(self):
+        world = gpu_world(2)
+        dt = contiguous(8, DOUBLE).commit()
+        sendbufs = [world.procs[r].ctx.malloc(dt.size) for r in range(2)]
+        for r, b in enumerate(sendbufs):
+            b.write(np.full(8, float(r + 5)))
+        recvbufs = [
+            [world.procs[r].ctx.malloc(dt.size) for _ in range(2)]
+            for r in range(2)
+        ]
+        return world, dt, sendbufs, recvbufs
+
+    def test_gather_retry_after_rejection(self):
+        world, dt, sendbufs, recvbufs = self._world_and_buffers()
+
+        def program(rank):
+            def run(mpi):
+                if rank == 0:
+                    with pytest.raises(ValueError, match="recv_count"):
+                        yield from gather(
+                            mpi, sendbufs[0], dt, 1, recvbufs[0], dt, None
+                        )
+                yield from gather(
+                    mpi, sendbufs[rank], dt, 1,
+                    recvbufs[0] if rank == 0 else None,
+                    dt if rank == 0 else None, 1,
+                )
+            return run
+
+        world.run({r: program(r) for r in range(2)})
+        for src in range(2):
+            assert (recvbufs[0][src].view("f8") == float(src + 5)).all()
+        assert world.stats().coll_ops.get("gather.nonblocking") == 2
+
+    def test_allgather_retry_after_rejection(self):
+        world, dt, sendbufs, recvbufs = self._world_and_buffers()
+
+        def program(rank):
+            def run(mpi):
+                if rank == 0:
+                    with pytest.raises(ValueError, match="one recv buffer"):
+                        yield from allgather(
+                            mpi, sendbufs[0], dt, 1, recvbufs[0][:1], dt, 1
+                        )
+                yield from allgather(
+                    mpi, sendbufs[rank], dt, 1, recvbufs[rank], dt, 1
+                )
+            return run
+
+        world.run({r: program(r) for r in range(2)})
+        for r in range(2):
+            for src in range(2):
+                assert (recvbufs[r][src].view("f8") == float(src + 5)).all()
+        assert world.stats().coll_ops.get("allgather.pairwise") == 2
+
+
 class TestAllgather:
     def test_ring_allgather(self, rng):
         n_ranks = 4
@@ -358,22 +430,26 @@ class TestAlltoall:
         world.run({r: program(r) for r in range(size)})
         assert world.stats().coll_ops.get("alltoall.staged") == size
 
-    def test_hierarchical_rejected_for_bcast(self):
-        world = gpu_world(2)
+    def test_hierarchical_is_unknown_algorithm(self):
+        """The leader-per-node rung is gone; its name is not a rung."""
+        assert "hierarchical" not in [a.value for a in CollAlgorithm]
+        world = two_node_world()
         dt = contiguous(8, DOUBLE).commit()
-        bufs = [world.procs[r].ctx.malloc(dt.size) for r in range(2)]
-        bufs[0].fill(3)
+        bufs = [
+            [world.procs[r].ctx.malloc(dt.size) for _ in range(4)]
+            for r in range(4)
+        ]
 
         def program(rank):
             def run(mpi):
-                yield from bcast(
-                    mpi, bufs[rank], dt, 1,
-                    algorithm=CollAlgorithm.HIERARCHICAL,
+                yield from alltoall(
+                    mpi, bufs[rank], dt, 1, bufs[rank], dt, 1,
+                    algorithm="hierarchical",
                 )
             return run
 
-        with pytest.raises(ValueError, match="alltoall"):
-            world.run({r: program(r) for r in range(2)})
+        with pytest.raises(ValueError, match="unknown collective algorithm"):
+            world.run({r: program(r) for r in range(4)})
 
     def test_unknown_algorithm_rejected(self):
         world = gpu_world(2)
