@@ -11,7 +11,9 @@ link and the kernel's effective rate clamped to
 entirely (the ``cpy`` lines in Fig 7).
 
 Registration is region-based: any sub-buffer (slice) of a mapped region
-is itself mapped, matching CUDA pointer-arithmetic semantics.
+is itself mapped, matching CUDA pointer-arithmetic semantics.  The
+regions are stored on the :class:`~repro.hw.memory.Allocation`, so a
+mapping lives exactly as long as the memory it describes.
 """
 
 from __future__ import annotations
@@ -21,9 +23,6 @@ from repro.hw.memory import Buffer
 
 __all__ = ["map_host_buffer", "unmap_host_buffer", "is_mapped_host", "mapped_gpu"]
 
-# allocation id -> list of (start, end, gpu)
-_REGIONS: dict[int, list[tuple[int, int, Gpu]]] = {}
-
 
 def map_host_buffer(buf: Buffer, gpu: Gpu) -> Buffer:
     """cudaHostRegister + cudaHostGetDevicePointer.
@@ -32,15 +31,16 @@ def map_host_buffer(buf: Buffer, gpu: Gpu) -> Buffer:
     """
     if not buf.is_host:
         raise ValueError("only host memory can be zero-copy mapped")
-    _REGIONS.setdefault(buf.allocation.alloc_id, []).append(
-        (buf.offset, buf.offset + buf.nbytes, gpu)
-    )
+    alloc = buf.allocation
+    if alloc.mapped is None:
+        alloc.mapped = []
+    alloc.mapped.append((buf.offset, buf.offset + buf.nbytes, gpu))
     return buf
 
 
 def unmap_host_buffer(buf: Buffer) -> None:
     """cudaHostUnregister for an exact previously mapped region."""
-    regions = _REGIONS.get(buf.allocation.alloc_id, [])
+    regions = buf.allocation.mapped or []
     target = (buf.offset, buf.offset + buf.nbytes)
     for i, (lo, hi, _gpu) in enumerate(regions):
         if (lo, hi) == target:
@@ -50,7 +50,7 @@ def unmap_host_buffer(buf: Buffer) -> None:
 
 
 def _find(buf: Buffer) -> Gpu | None:
-    for lo, hi, gpu in _REGIONS.get(buf.allocation.alloc_id, ()):
+    for lo, hi, gpu in buf.allocation.mapped or ():
         if lo <= buf.offset and buf.offset + buf.nbytes <= hi:
             return gpu
     return None

@@ -63,6 +63,7 @@ class Allocation:
         "data",
         "freed",
         "label",
+        "mapped",
     )
 
     def __init__(
@@ -83,6 +84,9 @@ class Allocation:
         self.data = np.zeros(nbytes, dtype=np.uint8)
         self.freed = False
         self.label = label
+        #: zero-copy mapped regions ``(start, end, gpu)`` (see
+        #: :mod:`repro.cuda.uma`); None until the first mapping
+        self.mapped: Optional[list] = None
 
     def __repr__(self) -> str:
         return f"Allocation(#{self.alloc_id}, {self.nbytes}B in {self.memory.name})"

@@ -5,13 +5,17 @@ reassembles the message data ... Different protocols based on the message
 size (short, eager, and rendezvous) and network properties are available,
 and the PML is designed to pick the best combination" (Section 4).
 
-Send path: eager for small messages (data rides the RTS Active Message);
-rendezvous otherwise — the RTS advertises the sender's buffer placement,
-contiguity and, when CUDA IPC applies, an IPC handle (of the user buffer
-for contiguous sends, of the device fragment ring otherwise).  The
-receiver matches, chooses the protocol (receiver-driven GET handshake),
-answers with a CTS, and both sides run the chosen pipeline from
-:mod:`repro.mpi.protocols`.
+Send path: eager for small messages (data rides the RTS Active Message),
+through one callback chain for every buffer placement
+(:func:`eager_isend_fast`); rendezvous otherwise (:func:`isend_coro`) —
+the RTS advertises the sender's buffer placement, contiguity and, when
+CUDA IPC applies, an IPC handle (of the user buffer for contiguous
+sends, of the device fragment ring otherwise).  Every receive posts
+through :func:`eager_irecv_fast`: an eager match unpacks in the chain, a
+rendezvous match hands over to :func:`_matched_recv_coro`, which chooses
+the protocol (receiver-driven GET handshake), answers with a CTS, and
+runs the chosen pipeline from :mod:`repro.mpi.protocols` against the
+sender's.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ if TYPE_CHECKING:
     from repro.mpi.proc import MpiProcess
     from repro.mpi.world import MpiWorld
 
-__all__ = ["isend_coro", "irecv_coro"]
+__all__ = ["eager_isend_fast", "eager_irecv_fast", "isend_coro", "irecv_coro"]
 
 _tids = itertools.count()
 
@@ -97,115 +101,7 @@ def _signature_check(send_sig, recv_sig) -> None:
 
 
 # ---------------------------------------------------------------------------
-# eager protocol
-# ---------------------------------------------------------------------------
-
-
-def _eager_pack_coro(
-    proc: "MpiProcess",
-    buf: Buffer,
-    dt: Datatype,
-    count: int,
-    gpudirect: bool = False,
-):
-    """Produce the message's bytes for an eager send.
-
-    Host buffers CPU-pack into a bounce array; device buffers GPU-pack
-    into a zero-copy host bounce — or, with GPUDirect RDMA, into a
-    *device* bounce that the NIC reads directly (no host transit; the
-    PCIe D2H leg disappears, which is why GPUDirect wins for small
-    messages).
-    """
-    total = dt.size * count
-    if total == 0:
-        # zero-byte send: the envelope still travels, the engines don't
-        return np.empty(0, dtype=np.uint8)
-    if buf.is_host:
-        if (
-            dt.is_contiguous
-            and (count == 1 or dt.extent == dt.size)
-            and _san.MEM is None
-            and _san.RACE is None
-        ):
-            # contiguous host fast path: same memcpy-engine charge as
-            # CpuSideJob's contiguous branch, minus the convertor and
-            # closure machinery (sanitized runs keep the checked path).
-            # count > 1 needs extent == size too — a resized contiguous
-            # type strides elements apart, which only the convertor walks.
-            stage = np.empty(total, dtype=np.uint8)
-            src = buf.bytes
-            fut = proc.node.cpu_memcpy_engine.transfer(total, label="cpu-pack")
-            fut.add_callback(lambda _f: stage.__setitem__(slice(0, total), src[:total]))
-            yield fut
-            return stage
-        job = CpuSideJob(proc, dt, count, buf, "pack")
-        stage = np.empty(total, dtype=np.uint8)
-        yield job.process_range(0, total, stage)
-        return stage
-    job = proc.engine.pack_job(dt, count, buf, proc.config.engine)
-    if gpudirect:
-        dstage = proc.acquire_staging("device", max(total, 256))
-        yield from job.process_all(dstage[:total])
-        data = dstage.bytes[:total].copy()
-        proc.release_staging("device", dstage)
-        return data
-    # pack via the GPU engine into a zero-copy host bounce buffer
-    hstage = proc.acquire_staging("host", max(total, 256), zero_copy_map=True)
-    yield from job.process_all(hstage[:total])
-    data = hstage.bytes[:total].copy()
-    proc.release_staging("host", hstage, zero_copy_map=True)
-    return data
-
-
-def _eager_unpack_coro(
-    proc: "MpiProcess",
-    buf: Buffer,
-    dt: Datatype,
-    count: int,
-    data: np.ndarray,
-    gpudirect: bool = False,
-):
-    # a receive may be posted larger than the message actually sent:
-    # unpack only the prefix that arrived, leave trailing elements alone
-    total = min(dt.size * count, len(data))
-    if total == 0:
-        return 0
-    if buf.is_host:
-        if (
-            dt.is_contiguous
-            and (count == 1 or dt.extent == dt.size)
-            and _san.MEM is None
-            and _san.RACE is None
-        ):
-            # contiguous host fast path — mirror of _eager_pack_coro's
-            dst = buf.bytes
-            fut = proc.node.cpu_memcpy_engine.transfer(total, label="cpu-unpack")
-            fut.add_callback(lambda _f: dst.__setitem__(slice(0, total), data[:total]))
-            yield fut
-            return total
-        job = CpuSideJob(proc, dt, count, buf, "unpack")
-        yield job.process_range(0, total, data)
-        return total
-    job = proc.engine.unpack_job(dt, count, buf, proc.config.engine)
-    # a prefix fragment (not process_all, which demands the full posted
-    # count's bytes and would reject — or overrun — a short message)
-    frag = job.range_fragment(0, 0, total)
-    if gpudirect:
-        # the NIC deposited the message straight into device memory
-        dstage = proc.acquire_staging("device", max(total, 256))
-        dstage.bytes[:total] = data[:total]
-        yield from job.process_fragment(frag, dstage[:total])
-        proc.release_staging("device", dstage)
-        return total
-    hstage = proc.acquire_staging("host", max(total, 256), zero_copy_map=True)
-    hstage.bytes[:total] = data[:total]
-    yield from job.process_fragment(frag, hstage[:total])
-    proc.release_staging("host", hstage, zero_copy_map=True)
-    return total
-
-
-# ---------------------------------------------------------------------------
-# send / recv coroutines
+# rendezvous coroutines
 # ---------------------------------------------------------------------------
 
 
@@ -219,7 +115,12 @@ def isend_coro(
     tag: int,
     comm_id: int = 0,
 ):
-    """Sender-side PML coroutine: eager or rendezvous per DESIGN/PROTOCOLS."""
+    """Sender-side rendezvous: RTS, wait for the CTS, run the protocol.
+
+    Messages up to ``eager_limit`` never get here — the caller
+    (:meth:`repro.mpi.world.RankContext.isend`) sends those through
+    :func:`eager_isend_fast`.
+    """
     dt.commit()
     total = dt.size * count
     dst_proc = world.procs[dest]
@@ -229,50 +130,6 @@ def isend_coro(
         pair_seq=proc.next_send_seq(dest, comm_id),
     )
     cfg = proc.config
-
-    if total <= cfg.eager_limit:
-        gdr = (
-            buf.is_device
-            and getattr(btl, "supports_gpudirect", False)
-            and dst_proc.gpu is not None
-        )
-        t0 = proc.sim.now
-        data = yield from _eager_pack_coro(proc, buf, dt, count, gpudirect=gdr)
-        header = {
-            "eager": True,
-            "total": total,
-            "signature": _times(dt.signature, count),
-            "gpudirect": gdr,
-        }
-        # the NIC reads device memory directly under GPUDirect (degraded
-        # rate beyond the ~30 KB crossover, at wire speed below it)
-        # owned: the freshly packed stage and literal header are handed
-        # over, so the BTL skips its defensive copies
-        yield btl.am_send(
-            "pml.rts", header, payload=data, envelope=env, gpudirect=gdr,
-            owned=True,
-        )
-        mode = "gpudirect" if gdr else ""
-        if proc.log_transfers:
-            proc.record_transfer(TransferStats(
-                tid=f"{proc.rank}.eager.{next(_tids)}", role="send", peer=dest,
-                protocol="eager", mode=mode,
-                total_bytes=total, frag_bytes=total, fragments=1,
-                max_in_flight=1, start_s=t0, end_s=proc.sim.now,
-            ))
-        else:
-            proc.count_transfer("send", "eager", mode, total)
-        if proc.tuner is not None and total > 0:
-            # informational sample: "eager" is never a tuned choice, but
-            # its cost sits beside the rendezvous ones in the table so a
-            # human reading the dump sees the crossover
-            form = canonicalize(dt, count)
-            key = proc.tuner.p2p_key(
-                form, total, proc.node is dst_proc.node,
-                "device" if buf.is_device else "host",
-            )
-            proc.tuner.observe_eager(key, proc.sim.now - t0, total)
-        return total
 
     tid = f"{proc.rank}.{next(_tids)}"
     s_info = describe_side(proc, buf, dt, count)
@@ -387,32 +244,13 @@ def irecv_coro(
     tag: int,
     comm_id: int = 0,
 ):
-    """Receiver-side PML coroutine: match, choose protocol, run it."""
-    dt.commit()
-    on_match = Future(proc.sim, label=proc._match_label)
-    proc.matching.post(
-        PostedRecv(source=source, tag=tag, comm_id=comm_id, on_match=on_match)
-    )
-    _ver = _san.VERIFY
-    _vtok = None
-    if _ver is not None:
-        # the wait spans post -> completion: an unmatched post *and* a
-        # protocol stalled mid-transfer both surface as this receive
-        _vtok = _ver.wait_begin(
-            "recv", proc.rank, proc.sim,
-            peer=None if source < 0 else source,
-            tag=None if tag < 0 else tag,
-            comm_id=comm_id, world=world,
-        )
-    try:
-        env, header, payload, sender_rank = yield on_match
-        status = yield from _matched_recv_coro(
-            world, proc, buf, dt, count, env, header, payload, sender_rank
-        )
-    finally:
-        if _ver is not None:
-            _ver.wait_end(_vtok)
-    return status
+    """A receive as a coroutine: :func:`eager_irecv_fast`, awaited."""
+    # no caller in the package (RankContext.irecv returns the chain's
+    # future directly); kept because perfbench's layer trace times the
+    # PML through this name
+    return (yield eager_irecv_fast(
+        world, proc, buf, dt, count, source, tag, comm_id
+    ))
 
 
 def _matched_recv_coro(
@@ -423,34 +261,13 @@ def _matched_recv_coro(
     count: int,
     env,
     header,
-    payload,
     sender_rank: int,
 ):
-    """Everything after the match: check, choose protocol, run it.
+    """A matched rendezvous RTS: choose the protocol, answer, run it.
 
-    Shared by :func:`irecv_coro` and the rendezvous fallback of the
-    callback-chained :func:`eager_irecv_fast` path.
+    Spawned by :func:`eager_irecv_fast` once the match (and the type
+    signature check) is done.
     """
-    _signature_check(header["signature"], _times(dt.signature, count))
-
-    if header["eager"]:
-        t0 = proc.sim.now
-        gdr = header.get("gpudirect", False)
-        got = yield from _eager_unpack_coro(
-            proc, buf, dt, count, payload, gpudirect=gdr,
-        )
-        mode = "gpudirect" if gdr else ""
-        if proc.log_transfers:
-            proc.record_transfer(TransferStats(
-                tid=f"{proc.rank}.eager.{next(_tids)}", role="recv",
-                peer=env.source, protocol="eager", mode=mode,
-                total_bytes=got, frag_bytes=got, fragments=1,
-                max_in_flight=1, start_s=t0, end_s=proc.sim.now,
-            ))
-        else:
-            proc.count_transfer("recv", "eager", mode, got)
-        return Status(source=env.source, tag=env.tag, count_bytes=got)
-
     tid = header["tid"]
     s_info: SideInfo = header["side"]
     src_proc = world.procs[sender_rank]
@@ -509,41 +326,86 @@ def rts_handler(world: "MpiWorld", proc: "MpiProcess"):
 
 
 # ---------------------------------------------------------------------------
-# callback-chained fast paths (host-contiguous eager, unsanitized)
+# eager protocol: one callback chain for every placement
 # ---------------------------------------------------------------------------
 #
-# The coroutine PML above is the source of truth: it handles every
-# placement, protocol, sanitizer, and fault combination.  The two
-# functions below are a hand-scheduled rendering of exactly one slice of
-# it — host buffer, flat-contiguous datatype, eager size, no faults, no
-# sanitizers — chaining plain future callbacks instead of spawning a
-# Process per operation.  They issue the *same* engine transfers in the
-# same order at the same simulated times, so modeled results are
-# bit-identical to the coroutine path; only the Python-side overhead
-# (two Process allocations and ~6 generator resumptions per message)
-# disappears.  Anything they cannot prove safe falls back to the
-# coroutines, which therefore remain the behavioural reference.
+# An eager send packs the message and ships the bytes inside the RTS; an
+# eager receive unpacks them straight from the arrived payload.  Both are
+# chains of future callbacks rather than Processes: each pack or unpack
+# step is a Future (``CpuSideJob.process_range`` for host buffers, one
+# eager-started Process over the GPU engine job for device buffers), and
+# the next step hangs off its completion.  Fault injection needs no case
+# of its own — it lives in ``Btl.am_send`` — and under the race detector
+# every step runs as the chain's own actor (see :meth:`_Chain.then`), so
+# the happens-before edges match those of a spawned Process.
 
 
-def eager_fast_ok(proc: "MpiProcess", buf: Buffer, dt: Datatype, count: int) -> bool:
-    """Is the hand-scheduled eager path valid for this operation?"""
-    if proc.faults is not None or _san.RACE is not None or _san.MEM is not None:
-        return False
-    if not buf.is_host:
-        return False
-    dt.commit()
-    return dt.is_contiguous and (count == 1 or dt.extent == dt.size)
+def _gpu_eager(
+    proc: "MpiProcess",
+    buf: Buffer,
+    dt: Datatype,
+    count: int,
+    total: int,
+    gdr: bool,
+    data=None,
+):
+    """Coroutine: the GPU engine job of an eager device buffer.
+
+    Packs ``buf`` through a bounce buffer and returns the packed bytes,
+    or (``data`` given) stages ``data`` in the bounce and unpacks its
+    ``total``-byte prefix into ``buf`` — a receive may be posted larger
+    than the message.  The bounce is device memory the NIC reads or
+    writes directly under GPUDirect (no PCIe leg, which is why GPUDirect
+    wins for small messages), otherwise zero-copy mapped host memory the
+    kernel reaches over PCIe.
+    """
+    engine = proc.engine
+    kind = "device" if gdr else "host"
+    if data is None:
+        job = engine.pack_job(dt, count, buf, proc.config.engine)
+        bounce = proc.acquire_staging(kind, max(total, 256), zero_copy_map=not gdr)
+        yield from job.process_all(bounce[:total])
+        out = bounce.bytes[:total].copy()
+    else:
+        job = engine.unpack_job(dt, count, buf, proc.config.engine)
+        # a prefix fragment, not process_all (which demands the whole
+        # posted count's bytes and would reject a short message)
+        frag = job.range_fragment(0, 0, total)
+        bounce = proc.acquire_staging(kind, max(total, 256), zero_copy_map=not gdr)
+        bounce.bytes[:total] = data[:total]
+        yield from job.process_fragment(frag, bounce[:total])
+        out = total
+    proc.release_staging(kind, bounce, zero_copy_map=not gdr)
+    return out
 
 
-def _eager_header(proc: "MpiProcess", dt: Datatype, count: int, total: int) -> dict:
-    """The (immutable, shareable) eager RTS header for (dt, count).
+def _log_eager(
+    proc: "MpiProcess", role: str, peer: int, gdr: bool, nbytes: int, t0: float
+) -> None:
+    """Record one finished eager send or receive on ``proc``."""
+    mode = "gpudirect" if gdr else ""
+    if proc.log_transfers:
+        proc.record_transfer(TransferStats(
+            tid=f"{proc.rank}.eager.{next(_tids)}", role=role, peer=peer,
+            protocol="eager", mode=mode,
+            total_bytes=nbytes, frag_bytes=nbytes, fragments=1,
+            max_in_flight=1, start_s=t0, end_s=proc.sim.now,
+        ))
+    else:
+        proc.count_transfer(role, "eager", mode, nbytes)
+
+
+def _eager_header(
+    proc: "MpiProcess", dt: Datatype, count: int, total: int, gdr: bool
+) -> dict:
+    """The (immutable, shareable) eager RTS header for (dt, count, gdr).
 
     Receivers only ever read headers, so repeated same-shape sends reuse
     one dict; the cache holds a strong dt ref to keep ``id(dt)`` valid
     and hits verify identity, mirroring the convertor cache.
     """
     cache = proc._eager_hdr_cache
-    key = (id(dt), count)
+    key = (id(dt), count, gdr)
     hit = cache.get(key)
     if hit is not None and hit[0] is dt:
         return hit[1]
@@ -553,10 +415,151 @@ def _eager_header(proc: "MpiProcess", dt: Datatype, count: int, total: int) -> d
         "eager": True,
         "total": total,
         "signature": _times(dt.signature, count),
-        "gpudirect": False,
+        "gpudirect": gdr,
     }
     cache[key] = (dt, header)
     return header
+
+
+class _Chain:
+    """State of one eager operation in flight; steps are its methods.
+
+    Steps are bound methods rather than closures, so a message in flight
+    holds a handful of objects instead of a closure and its cells per
+    step — at thousands of ranks that is the garbage collector's load.
+    """
+
+    __slots__ = ("actor",)
+
+    def then(self, fut: Future, step) -> None:
+        """Run ``step(fut)`` once ``fut`` resolves.
+
+        Under the race detector the step records what a spawned Process
+        records around each resumption: a join of the waking future's
+        stamp into the chain's actor (from ``on_spawn`` when the chain
+        started), then the step run as that actor.
+        """
+        actor = self.actor
+        if actor is None:
+            fut.add_callback(step)
+            return
+
+        def as_actor(f: Future) -> None:
+            race = _san.RACE
+            race.on_resume(actor, f._san_snap)
+            race.enter(actor)
+            try:
+                step(f)
+            finally:
+                race.exit()
+
+        fut.add_callback(as_actor)
+
+
+class _EagerSend(_Chain):
+    """One eager send: pack, then ship the bytes inside the RTS."""
+
+    __slots__ = (
+        "proc", "dst_proc", "btl", "buf", "dt", "count", "dest", "env",
+        "header", "gdr", "total", "t0", "done", "stage",
+    )
+
+    def __init__(self, world, proc, buf, dt, count, dest, tag, comm_id):
+        dt.commit()
+        self.proc = proc
+        self.buf = buf
+        self.dt = dt
+        self.count = count
+        self.dest = dest
+        self.total = total = dt.size * count
+        self.dst_proc = dst_proc = world.procs[dest]
+        self.btl = btl = world.bml.btl_for(proc, dst_proc)
+        self.env = Envelope(
+            source=proc.rank, dest=dest, tag=tag, comm_id=comm_id,
+            pair_seq=proc.next_send_seq(dest, comm_id),
+        )
+        # under GPUDirect the NIC reads device memory directly (degraded
+        # rate beyond the ~30 KB crossover, at wire speed below it)
+        self.gdr = gdr = (
+            buf.is_device
+            and getattr(btl, "supports_gpudirect", False)
+            and dst_proc.gpu is not None
+        )
+        self.header = _eager_header(proc, dt, count, total, gdr)
+        self.done = Future(proc.sim, label="eager-send")
+        self.t0 = proc.sim.now
+        self.stage = None
+        race = _san.RACE
+        self.actor = None if race is None else race.on_spawn("eager-send")
+
+    def start(self) -> Future:
+        """Issue the pack (as the chain's actor, as a Process's first
+        step runs); returns the send's completion future."""
+        total = self.total
+        buf = self.buf
+        race = _san.RACE if self.actor is not None else None
+        if race is not None:
+            race.enter(self.actor)
+        try:
+            if total == 0:
+                # zero-byte send: the envelope travels, the engines don't
+                self.send(np.empty(0, dtype=np.uint8))
+            elif buf.is_host:
+                self.stage = np.empty(total, dtype=np.uint8)
+                job = CpuSideJob(self.proc, self.dt, self.count, buf, "pack")
+                self.then(job.process_range(0, total, self.stage), self.packed)
+            else:
+                p = self.proc.sim.spawn(
+                    _gpu_eager(
+                        self.proc, buf, self.dt, self.count, total, self.gdr
+                    ),
+                    label="eager-pack", eager_start=True,
+                )
+                self.then(p, self.packed_on_gpu)
+        except Exception as err:
+            # a step that raises fails the send, as it would fail a Process
+            self.done.fail(err)
+        finally:
+            if race is not None:
+                race.exit()
+        return self.done
+
+    def packed(self, _f: Future) -> None:
+        self.send(self.stage)
+
+    def packed_on_gpu(self, p: Future) -> None:
+        if p._exception is not None:
+            self.done.fail(p._exception)
+        else:
+            self.send(p._value)
+
+    def send(self, data) -> None:
+        # owned: the freshly packed stage and the read-only header are
+        # handed over, so the BTL skips its defensive copies
+        self.then(
+            self.btl.am_send(
+                "pml.rts", self.header, payload=data, envelope=self.env,
+                gpudirect=self.gdr, owned=True,
+            ),
+            self.sent,
+        )
+
+    def sent(self, _f: Future) -> None:
+        proc = self.proc
+        total = self.total
+        _log_eager(proc, "send", self.dest, self.gdr, total, self.t0)
+        tuner = proc.tuner
+        if tuner is not None and total > 0:
+            # informational sample: "eager" is never a tuned choice, but
+            # its cost sits beside the rendezvous ones in the table so a
+            # human reading the dump sees the crossover
+            key = tuner.p2p_key(
+                canonicalize(self.dt, self.count), total,
+                proc.node is self.dst_proc.node,
+                "device" if self.buf.is_device else "host",
+            )
+            tuner.observe_eager(key, proc.sim.now - self.t0, total)
+        self.done.resolve(None)
 
 
 def eager_isend_fast(
@@ -569,67 +572,94 @@ def eager_isend_fast(
     tag: int,
     comm_id: int = 0,
 ) -> Future:
-    """Host-contiguous eager send as a callback chain (no Process).
+    """The eager send: pack, then ship the bytes inside the RTS.
 
-    Returns a future resolving with ``None`` at wire delivery — the same
-    completion point and value as the :func:`isend_coro` eager branch.
+    Host buffers CPU-pack into a bounce array; device buffers GPU-pack
+    through a bounce buffer (see :func:`_gpu_eager`).  Returns a future
+    resolving with ``None`` at wire delivery, or failing with the error
+    a pack step raised.
     """
-    total = dt.size * count
-    dst_proc = world.procs[dest]
-    btl = world.bml.btl_for(proc, dst_proc)
-    env = Envelope(
-        source=proc.rank, dest=dest, tag=tag, comm_id=comm_id,
-        pair_seq=proc.next_send_seq(dest, comm_id),
+    return _EagerSend(world, proc, buf, dt, count, dest, tag, comm_id).start()
+
+
+class _EagerRecv(_Chain):
+    """One posted receive: match, then unpack an eager payload."""
+
+    __slots__ = (
+        "world", "proc", "buf", "dt", "count", "want_sig", "size",
+        "result", "env", "gdr", "total", "t0",
     )
-    header = _eager_header(proc, dt, count, total)
-    sim = proc.sim
-    done = Future(sim, label="eager-send")
-    log = proc.log_transfers
-    t0 = sim.now if log else 0.0
-    if total == 0:
-        data = np.empty(0, dtype=np.uint8)
-        wire = btl.am_send("pml.rts", header, payload=data, envelope=env,
-                           owned=True)
 
-        def sent0(_f: Future) -> None:
-            if log:
-                proc.record_transfer(TransferStats(
-                    tid=f"{proc.rank}.eager.{next(_tids)}", role="send",
-                    peer=dest, protocol="eager", mode="",
-                    total_bytes=0, frag_bytes=0, fragments=1,
-                    max_in_flight=1, start_s=t0, end_s=sim.now,
-                ))
+    def __init__(self, world, proc, buf, dt, count):
+        dt.commit()
+        self.world = world
+        self.proc = proc
+        self.buf = buf
+        self.dt = dt
+        self.count = count
+        self.want_sig = _times(dt.signature, count)
+        self.size = dt.size * count
+        self.result = Future(proc.sim, label="eager-recv")
+        race = _san.RACE
+        self.actor = None if race is None else race.on_spawn("eager-recv")
+
+    def matched(self, mf: Future) -> None:
+        env, header, payload, sender_rank = mf._value
+        try:
+            _signature_check(header["signature"], self.want_sig)
+            proc = self.proc
+            if not header["eager"]:
+                proc.sim.spawn(
+                    _matched_recv_coro(
+                        self.world, proc, self.buf, self.dt, self.count,
+                        env, header, sender_rank,
+                    ),
+                    label="irecv-rest",
+                    eager_start=True,
+                ).add_callback(self.finish)
+                return
+            self.env = env
+            self.t0 = proc.sim.now
+            self.gdr = gdr = header["gpudirect"]
+            # a receive may be posted larger than the message: unpack
+            # only the prefix that arrived
+            self.total = total = min(self.size, len(payload))
+            if total == 0:
+                self.unpacked(None)
+            elif self.buf.is_host:
+                job = CpuSideJob(proc, self.dt, self.count, self.buf, "unpack")
+                self.then(job.process_range(0, total, payload), self.unpacked)
             else:
-                proc.count_transfer("send", "eager", "", 0)
-            done.resolve(None)
+                p = proc.sim.spawn(
+                    _gpu_eager(
+                        proc, self.buf, self.dt, self.count, total, gdr,
+                        payload,
+                    ),
+                    label="eager-unpack", eager_start=True,
+                )
+                self.then(p, self.unpacked_on_gpu)
+        except Exception as err:
+            # a signature mismatch (or any step that raises) fails the
+            # receive, as it would fail a Process
+            self.result.fail(err)
 
-        wire.add_callback(sent0)
-        return done
-    stage = np.empty(total, dtype=np.uint8)
-    src = buf.bytes
-    pack = proc.node.cpu_memcpy_engine.transfer(total, label="cpu-pack")
+    def unpacked_on_gpu(self, p: Future) -> None:
+        if p._exception is not None:
+            self.result.fail(p._exception)
+        else:
+            self.unpacked(p)
 
-    def packed(_f: Future) -> None:
-        stage[0:total] = src[:total]
-        wire = btl.am_send("pml.rts", header, payload=stage, envelope=env,
-                           owned=True)
+    def unpacked(self, _f) -> None:
+        env = self.env
+        _log_eager(self.proc, "recv", env.source, self.gdr, self.total, self.t0)
+        self.result.resolve(Status(env.source, env.tag, self.total))
 
-        def sent(_f2: Future) -> None:
-            if log:
-                proc.record_transfer(TransferStats(
-                    tid=f"{proc.rank}.eager.{next(_tids)}", role="send",
-                    peer=dest, protocol="eager", mode="",
-                    total_bytes=total, frag_bytes=total, fragments=1,
-                    max_in_flight=1, start_s=t0, end_s=sim.now,
-                ))
-            else:
-                proc.count_transfer("send", "eager", "", total)
-            done.resolve(None)
-
-        wire.add_callback(sent)
-
-    pack.add_callback(packed)
-    return done
+    def finish(self, f: Future) -> None:
+        # mirror the rendezvous Process's outcome onto the receive
+        if f._exception is not None:
+            self.result.fail(f._exception)
+        else:
+            self.result.resolve(f._value)
 
 
 def eager_irecv_fast(
@@ -642,89 +672,28 @@ def eager_irecv_fast(
     tag: int,
     comm_id: int = 0,
 ) -> Future:
-    """Host-contiguous receive as a callback chain (no Process).
+    """Every receive: post, match, then unpack an eager payload in place.
 
-    Eager arrivals unpack inline; a rendezvous RTS falls back to the
-    coroutine continuation (:func:`_matched_recv_coro`), so the fast
-    path never has to understand the pipelined protocols.  Resolves
-    with the :class:`Status`, like :func:`irecv_coro`.
+    An eager match unpacks straight from the RTS payload — only the
+    prefix that arrived, since a receive may be posted larger than the
+    message.  A rendezvous RTS hands over to the
+    :func:`_matched_recv_coro` Process, so the chain never has to
+    understand the pipelined protocols.  Resolves with the
+    :class:`Status`.
     """
-    sim = proc.sim
-    result = Future(sim, label="eager-recv")
-    on_match = Future(sim, label=proc._match_label)
-    want_sig = _times(dt.signature, count)
-    size = dt.size * count
-    log = proc.log_transfers
-
-    def matched(mf: Future) -> None:
-        env, header, payload, sender_rank = mf._value
-        if not header["eager"] or header.get("gpudirect", False):
-            # rendezvous (or a gpudirect eager pack): run the coroutine
-            # continuation and mirror its outcome onto ``result``
-            p = sim.spawn(
-                _matched_recv_coro(
-                    world, proc, buf, dt, count,
-                    env, header, payload, sender_rank,
-                ),
-                label="irecv-rest",
-                eager_start=True,
-            )
-
-            def finish(f: Future) -> None:
-                if f._exception is not None:
-                    result.fail(f._exception)
-                else:
-                    result.resolve(f._value)
-
-            p.add_callback(finish)
-            return
-        try:
-            _signature_check(header["signature"], want_sig)
-        except BaseException as err:
-            result.fail(err)
-            return
-        t0 = sim.now
-        total = min(size, len(payload))
-        if total == 0:
-            if log:
-                proc.record_transfer(TransferStats(
-                    tid=f"{proc.rank}.eager.{next(_tids)}", role="recv",
-                    peer=env.source, protocol="eager", mode="",
-                    total_bytes=0, frag_bytes=0, fragments=1,
-                    max_in_flight=1, start_s=t0, end_s=sim.now,
-                ))
-            else:
-                proc.count_transfer("recv", "eager", "", 0)
-            result.resolve(Status(source=env.source, tag=env.tag,
-                                  count_bytes=0))
-            return
-        unpack = proc.node.cpu_memcpy_engine.transfer(total, label="cpu-unpack")
-        dst = buf.bytes
-
-        def unpacked(_f: Future) -> None:
-            dst[0:total] = payload[:total]
-            if log:
-                proc.record_transfer(TransferStats(
-                    tid=f"{proc.rank}.eager.{next(_tids)}", role="recv",
-                    peer=env.source, protocol="eager", mode="",
-                    total_bytes=total, frag_bytes=total, fragments=1,
-                    max_in_flight=1, start_s=t0, end_s=sim.now,
-                ))
-            else:
-                proc.count_transfer("recv", "eager", "", total)
-            result.resolve(Status(source=env.source, tag=env.tag,
-                                  count_bytes=total))
-
-        unpack.add_callback(unpacked)
-
-    on_match.add_callback(matched)
+    chain = _EagerRecv(world, proc, buf, dt, count)
+    on_match = Future(proc.sim, label=proc._match_label)
+    chain.then(on_match, chain.matched)
     proc.matching.post(
         PostedRecv(source=source, tag=tag, comm_id=comm_id, on_match=on_match)
     )
+    result = chain.result
     _ver = _san.VERIFY
     if _ver is not None:
+        # the wait spans post -> completion: an unmatched post *and* a
+        # protocol stalled mid-transfer both surface as this receive
         _vtok = _ver.wait_begin(
-            "recv", proc.rank, sim,
+            "recv", proc.rank, proc.sim,
             peer=None if source < 0 else source,
             tag=None if tag < 0 else tag,
             comm_id=comm_id, world=world,

@@ -77,11 +77,10 @@ class MpiProcess:
         self._convertor_cache: dict = {}
         #: pre-rendered label for matching futures (one irecv per message)
         self._match_label: str = f"r{rank}.match"
-        #: per-peer cached isend/irecv process labels (one spawn per message)
+        #: per-peer cached rendezvous isend process labels
         self._isend_labels: dict = {}
-        self._irecv_labels: dict = {}
-        #: reusable eager RTS headers keyed (id(dt), count) — headers are
-        #: read-only downstream, so same-shape sends share one dict
+        #: reusable eager RTS headers keyed (id(dt), count, gpudirect) —
+        #: headers are read-only downstream, so same-shape sends share one
         self._eager_hdr_cache: dict = {}
         self.ctx: Optional[CudaContext] = CudaContext(gpu) if gpu else None
         self._engine: Optional[GpuDatatypeEngine] = None

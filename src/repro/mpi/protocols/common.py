@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -490,11 +491,19 @@ class TransferState:
 
 
 class CpuSideJob:
-    """Host-side pack/unpack charged to the node's CPU pack engine.
+    """Host-side pack/unpack charged to the node's CPU engines.
 
     The symmetric counterpart of :class:`repro.gpu_engine.engine.PackJob`
     for buffers living in host memory (the traditional datatype engine).
+    Contiguous types are charged to the memcpy engine, everything else
+    to the pack engine.  A *flat* layout — one gap-free run from byte 0,
+    so the packed stream is the buffer's first bytes — moves as a slice
+    copy and builds no :class:`Convertor`.
     """
+
+    __slots__ = (
+        "node", "direction", "label", "contiguous", "buf", "convertor", "user",
+    )
 
     def __init__(
         self,
@@ -504,11 +513,19 @@ class CpuSideJob:
         buf: Buffer,
         direction: str,
     ) -> None:
-        self.proc = proc
         self.node = proc.node
         self.direction = direction
+        self.label = f"cpu-{direction}"
         if _san.MEM is not None:
             _san.MEM.check_cpu_path(buf, what=f"CpuSideJob({direction})")
+        self.contiguous = dt.is_contiguous
+        self.buf = buf
+        # count > 1 needs extent == size too: a resized contiguous type
+        # strides its elements apart, which only the convertor walks
+        if self.contiguous and (count == 1 or dt.extent == dt.size):
+            self.convertor = None
+            self.user = buf.bytes
+            return
         # Convertor construction (canonicalize + plan selection + strided
         # views) dominates small-message cost, so reuse one per
         # (direction, count, datatype, buffer).  The range API is
@@ -526,9 +543,6 @@ class CpuSideJob:
             conv = Convertor(dt, count, buf.bytes, direction)
             cache[key] = (dt, buf, conv)
             self.convertor = conv
-        self.contiguous = dt.is_contiguous
-        self.buf = buf
-        self.total = dt.size * count
 
     def process_range(self, lo: int, hi: int, stage) -> Future:
         """Pack [lo, hi) into ``stage`` / unpack ``stage`` into [lo, hi).
@@ -556,13 +570,19 @@ class CpuSideJob:
                     stage, 0, n, packing,
                     label=f"cpu-{self.direction}-stage[{lo}:{hi}]",
                 )
-        if self.direction == "pack":
-            def move() -> None:
-                self.convertor.pack_range(view, lo, hi)
+        # the move runs at completion; partials keep the per-range state
+        # to one small object while the op is in flight
+        conv = self.convertor
+        if conv is None:
+            if self.direction == "pack":
+                move = partial(np.copyto, view[:n], self.user[lo:hi])
+            else:
+                move = partial(np.copyto, self.user[lo:hi], view[:n])
+        elif self.direction == "pack":
+            move = partial(conv.pack_range, view, lo, hi)
         else:
-            def move() -> None:
-                self.convertor.unpack_range(view, lo, hi)
+            move = partial(conv.unpack_range, view, lo, hi)
         if self.contiguous:
             # no transformation needed — a straight memcpy
-            return self.node.cpu_memcpy_op(n, fn=move, label=f"cpu-{self.direction}")
-        return self.node.cpu_pack_op(n, fn=move, label=f"cpu-{self.direction}")
+            return self.node.cpu_memcpy_op(n, fn=move, label=self.label)
+        return self.node.cpu_pack_op(n, fn=move, label=self.label)

@@ -26,10 +26,8 @@ from repro.mpi.comm import Communicator
 from repro.mpi.config import MpiConfig
 from repro.mpi.message import ANY_SOURCE, ANY_TAG
 from repro.mpi.pml import (
-    eager_fast_ok,
     eager_irecv_fast,
     eager_isend_fast,
-    irecv_coro,
     isend_coro,
     rts_handler,
 )
@@ -406,33 +404,26 @@ class RankContext:
         """Nonblocking send; returns a waitable :class:`Request`."""
         comm_id = comm.comm_id if comm is not None else 0
         nbytes = datatype.size * count
-        if nbytes <= self.config.eager_limit and eager_fast_ok(
-            self.proc, buf, datatype, count
-        ):
+        proc = self.proc
+        if nbytes <= self.config.eager_limit:
             fut = eager_isend_fast(
-                self.world, self.proc, buf, datatype, count, dest, tag,
+                self.world, proc, buf, datatype, count, dest, tag,
                 comm_id=comm_id,
             )
-            req = Request(fut, "send", nbytes)
-            if _san.VERIFY is not None:
-                _san.VERIFY.track_request(
-                    self.world, req, self.rank, "send", dest, tag, comm_id,
-                    nbytes,
-                )
-            return req
-        labels = self.proc._isend_labels
-        label = labels.get(dest)
-        if label is None:
-            label = labels[dest] = f"isend r{self.rank}->r{dest}"
-        proc = self.sim.spawn(
-            isend_coro(
-                self.world, self.proc, buf, datatype, count, dest, tag,
-                comm_id=comm_id,
-            ),
-            label=label,
-            eager_start=True,
-        )
-        req = Request(proc, "send", nbytes)
+        else:
+            labels = proc._isend_labels
+            label = labels.get(dest)
+            if label is None:
+                label = labels[dest] = f"isend r{self.rank}->r{dest}"
+            fut = self.sim.spawn(
+                isend_coro(
+                    self.world, proc, buf, datatype, count, dest, tag,
+                    comm_id=comm_id,
+                ),
+                label=label,
+                eager_start=True,
+            )
+        req = Request(fut, "send", nbytes)
         if _san.VERIFY is not None:
             _san.VERIFY.track_request(
                 self.world, req, self.rank, "send", dest, tag, comm_id, nbytes
@@ -451,31 +442,11 @@ class RankContext:
         """Nonblocking receive; resolves with a :class:`Status`."""
         comm_id = comm.comm_id if comm is not None else 0
         nbytes = datatype.size * count
-        if eager_fast_ok(self.proc, buf, datatype, count):
-            fut = eager_irecv_fast(
-                self.world, self.proc, buf, datatype, count, source, tag,
-                comm_id=comm_id,
-            )
-            req = Request(fut, "recv", nbytes)
-            if _san.VERIFY is not None:
-                _san.VERIFY.track_request(
-                    self.world, req, self.rank, "recv", source, tag, comm_id,
-                    nbytes,
-                )
-            return req
-        labels = self.proc._irecv_labels
-        label = labels.get(source)
-        if label is None:
-            label = labels[source] = f"irecv r{self.rank}<-r{source}"
-        proc = self.sim.spawn(
-            irecv_coro(
-                self.world, self.proc, buf, datatype, count, source, tag,
-                comm_id=comm_id,
-            ),
-            label=label,
-            eager_start=True,
+        fut = eager_irecv_fast(
+            self.world, self.proc, buf, datatype, count, source, tag,
+            comm_id=comm_id,
         )
-        req = Request(proc, "recv", nbytes)
+        req = Request(fut, "recv", nbytes)
         if _san.VERIFY is not None:
             _san.VERIFY.track_request(
                 self.world, req, self.rank, "recv", source, tag, comm_id,

@@ -93,3 +93,32 @@ class TestUma:
         buf = cluster.nodes[0].host_memory.alloc(64)
         with pytest.raises(ValueError):
             mapped_gpu(buf)
+
+    def test_dropped_world_is_collected(self):
+        """Zero-copy staging mappings live and die with their allocation:
+        after a device eager send (which maps a pooled host bounce
+        buffer), dropping the world frees its simulator."""
+        import gc
+        import weakref
+
+        from repro.bench.harness import make_env
+        from repro.datatype.ddt import contiguous
+        from repro.datatype.primitives import DOUBLE
+
+        def one_send():
+            env = make_env("sm-2gpu")
+            dt = contiguous(64, DOUBLE).commit()
+            bufs = [env.world.procs[r].ctx.malloc(dt.size) for r in (0, 1)]
+
+            def rank0(mpi):
+                yield mpi.send(bufs[0], dt, 1, dest=1, tag=0)
+
+            def rank1(mpi):
+                yield mpi.recv(bufs[1], dt, 1, source=0, tag=0)
+
+            env.world.run([rank0, rank1])
+            return weakref.ref(env.world.sim)
+
+        sim_ref = one_send()
+        gc.collect()
+        assert sim_ref() is None

@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from repro import sanitize
+from repro.datatype.ddt import contiguous, vector
+from repro.datatype.primitives import BYTE, DOUBLE
 from repro.gpu_engine.work_units import WorkUnits
 from repro.hw.memory import Buffer, Memory, MemoryKind
 from repro.sanitize import SanitizeOptions, SanitizerError
@@ -168,8 +170,6 @@ def test_seeded_deadlock_caught():
     name each rank's blocked call site (peer, tag, comm) and the cycle
     instead of a silent hang."""
     from repro.bench.harness import make_env
-    from repro.datatype.ddt import contiguous
-    from repro.datatype.primitives import DOUBLE
     from repro.sim.core import SimulationError
 
     dt = contiguous(4096, DOUBLE).commit()  # 32 KB: over the eager limit
@@ -204,8 +204,6 @@ def test_seeded_request_leak_caught():
     """Bug: an isend whose matching receive never arrives — the program
     'succeeds', the request is a zombie; finalize must name it."""
     from repro.bench.harness import make_env
-    from repro.datatype.ddt import contiguous
-    from repro.datatype.primitives import DOUBLE
 
     dt = contiguous(4096, DOUBLE).commit()
     with sanitize.enabled(SanitizeOptions(verify=True, mode="record")):
@@ -228,6 +226,59 @@ def test_seeded_request_leak_caught():
     assert len(leaks) == 1
     assert "rank 0 send to r1" in leaks[0].message
     assert "tag=9" in leaks[0].message and "comm=0" in leaks[0].message
+
+
+def _eager_overlap_races(dt, overlap: bool) -> list:
+    """Rank 0 posts an eager irecv and an isend at once, on one host
+    buffer (``overlap``) or on two; rank 1 mirrors them.  Returns the
+    race reports."""
+    from repro.bench.harness import make_env
+
+    with sanitize.enabled(SanitizeOptions.all(mode="record")) as rep:
+        env = make_env("cpu")
+        mem = env.world.procs[0].node.host_memory
+        bufs = [mem.alloc(dt.extent) for _ in range(4)]
+        for b in bufs:
+            b.fill(0)
+        send0 = bufs[0] if overlap else bufs[1]
+
+        def rank0(mpi):
+            r = mpi.irecv(bufs[0], dt, 1, source=1, tag=3)
+            s = mpi.isend(send0, dt, 1, dest=1, tag=3)
+            yield mpi.wait_all(r, s)
+
+        def rank1(mpi):
+            s = mpi.isend(bufs[2], dt, 1, dest=0, tag=3)
+            r = mpi.irecv(bufs[3], dt, 1, source=0, tag=3)
+            yield mpi.wait_all(s, r)
+
+        env.world.run([rank0, rank1])
+    return rep.by_code("race.unordered_access")
+
+
+EAGER_OVERLAP_TYPES = {
+    "contiguous": lambda: contiguous(256, BYTE),
+    "vector": lambda: vector(16, 2, 4, DOUBLE),
+}
+
+
+@pytest.mark.parametrize("shape", EAGER_OVERLAP_TYPES)
+def test_eager_send_recv_overlap_caught(shape):
+    """Bug: an eager isend packs from the buffer an outstanding eager
+    irecv unpacks into — nothing orders the pack's read against the
+    unpack's write, whichever placement or datatype the eager path
+    takes."""
+    dt = EAGER_OVERLAP_TYPES[shape]().commit()
+    races = _eager_overlap_races(dt, overlap=True)
+    assert len(races) == 1
+    assert "cpu-unpack" in races[0].message and "cpu-pack" in races[0].message
+
+
+@pytest.mark.parametrize("shape", EAGER_OVERLAP_TYPES)
+def test_eager_send_recv_disjoint_clean(shape):
+    """The same exchange on disjoint buffers is race-free."""
+    dt = EAGER_OVERLAP_TYPES[shape]().commit()
+    assert _eager_overlap_races(dt, overlap=False) == []
 
 
 def test_blocking_self_send_lint_caught(tmp_path):

@@ -182,3 +182,37 @@ class TestKeys:
         )
         form = canonicalize(contiguous(4096, BYTE).commit(), 1)
         assert tuner.plan_key(form, 4096) == "plan/contig/le4096"
+
+
+class TestEagerObservation:
+    @pytest.mark.parametrize(
+        "make_dt",
+        [lambda: contiguous(256, BYTE), lambda: vector(16, 2, 4, DOUBLE)],
+        ids=["contiguous", "vector"],
+    )
+    def test_every_eager_send_records_a_sample(self, make_dt):
+        """Each eager send leaves one informational ``eager`` sample,
+        whatever the datatype's shape."""
+        from repro.bench.harness import make_env
+
+        dt = make_dt().commit()
+        env = make_env("cpu", config=MpiConfig(autotune="observe"))
+        bufs = [
+            env.world.procs[r].node.host_memory.alloc(dt.extent) for r in (0, 1)
+        ]
+
+        def rank0(mpi):
+            for _ in range(3):
+                yield mpi.send(bufs[0], dt, 1, dest=1, tag=0)
+
+        def rank1(mpi):
+            for _ in range(3):
+                yield mpi.recv(bufs[1], dt, 1, source=0, tag=0)
+
+        env.world.run([rank0, rank1])
+        cells = [
+            choices["eager"]
+            for choices in env.world.tuner.table.entries.values()
+            if "eager" in choices
+        ]
+        assert [(n, b) for n, _s, b in cells] == [(3, 3 * dt.size)]
