@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.datatype.convertor import strided_rows
 from repro.datatype.ddt import Datatype
 from repro.datatype.typemap import Spans
 from repro.mpi.proc import MpiProcess
@@ -182,15 +183,17 @@ class MvapichLikeTransfer:
 
     @staticmethod
     def _move_runs(runs, user, stage, pos, direction: str) -> None:
+        """The bytes each modelled call moves: one strided copy per run."""
         sv = stage.bytes if hasattr(stage, "bytes") else stage
         for run in runs:
-            for i in range(run.count):
-                u0 = run.first_disp + i * run.stride
-                s0 = pos + i * run.blocklength
-                if direction == "pack":
-                    sv[s0 : s0 + run.blocklength] = user[u0 : u0 + run.blocklength]
-                else:
-                    user[u0 : u0 + run.blocklength] = sv[s0 : s0 + run.blocklength]
+            bl = run.blocklength
+            user_rows = strided_rows(user, run.first_disp, bl, run.stride, run.count)
+            # the staging side is packed: a reshape, which raises if short
+            stage_rows = sv[pos : pos + run.nbytes].reshape(run.count, bl)
+            if direction == "pack":
+                stage_rows[...] = user_rows
+            else:
+                user_rows[...] = stage_rows
             pos += run.nbytes
 
     # -- one-way transfers -------------------------------------------------------

@@ -53,7 +53,12 @@ from repro.datatype.canonical import (
     select_cpu_plan,
     select_gpu_plan,
 )
-from repro.datatype.convertor import Convertor, pack_bytes, unpack_bytes
+from repro.datatype.convertor import (
+    Convertor,
+    pack_bytes,
+    strided_rows,
+    unpack_bytes,
+)
 from repro.datatype.numpy_bridge import byte_mask, datatype_from_slice
 
 __all__ = [
@@ -85,6 +90,7 @@ __all__ = [
     "Convertor",
     "pack_bytes",
     "unpack_bytes",
+    "strided_rows",
     "byte_mask",
     "datatype_from_slice",
 ]

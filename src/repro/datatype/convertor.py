@@ -41,7 +41,48 @@ from repro.datatype.ddt import Datatype
 from repro.datatype.stack import StackMachine, compile_datatype
 from repro.datatype.typemap import Spans
 
-__all__ = ["Convertor", "gather_indices", "stream_unit", "pack_bytes", "unpack_bytes"]
+__all__ = [
+    "Convertor",
+    "gather_indices",
+    "stream_unit",
+    "strided_rows",
+    "unit_elems",
+    "pack_bytes",
+    "unpack_bytes",
+]
+
+
+def strided_rows(
+    buf: np.ndarray, first: int, blocklength: int, stride: int, count: int
+) -> np.ndarray:
+    """``(count, blocklength)`` view of 1-D ``buf``: row ``i`` starts at
+    element ``first + i * stride`` (the layout one ``cudaMemcpy2D`` moves).
+
+    All arguments are in elements of ``buf``; ``stride`` may be negative
+    or zero.  Raises :class:`ValueError` when any row falls outside the
+    buffer, where a slice would silently truncate.  Rows that overlap
+    (``abs(stride) < blocklength``) are fine to read but are written in
+    an unspecified order — MPI forbids such layouts on the receive side.
+    """
+    if count > 0 and blocklength > 0:
+        reach = (count - 1) * stride
+        lo = first + min(reach, 0)
+        hi = first + max(reach, 0) + blocklength
+        if lo < 0 or hi > len(buf):
+            raise ValueError(
+                f"strided rows [{lo}, {hi}) exceed a buffer of {len(buf)} elements"
+            )
+    step = buf.strides[0]
+    return np.lib.stride_tricks.as_strided(
+        buf[first:], shape=(count, blocklength), strides=(stride * step, step)
+    )
+
+
+def unit_elems(user_bytes: np.ndarray, unit: int) -> np.ndarray:
+    """``user_bytes`` viewed as ``unit``-byte elements (tail bytes dropped),
+    the element space :func:`gather_indices` maps index."""
+    usable = len(user_bytes) // unit * unit
+    return user_bytes[:usable].view(_unit_dtype(unit))
 
 
 def stream_unit(dt: Datatype, count: int = 1) -> int:
@@ -146,9 +187,7 @@ class Convertor:
     # -- internals -------------------------------------------------------
     def _elems(self) -> np.ndarray:
         if self._user_elems is None:
-            u = self._unit
-            usable = len(self.user) // u * u
-            self._user_elems = self.user[:usable].view(_unit_dtype(u))
+            self._user_elems = unit_elems(self.user, self._unit)
         return self._user_elems
 
     def _indices(self) -> np.ndarray:
@@ -166,20 +205,18 @@ class Convertor:
         if self._rows_view is None:
             v = self._vec
             u = self._unit
-            elems = self._elems()
-            start = (self.base_offset + v.first_disp) // u
-            epb = v.blocklength // u
-            spb = v.stride // u  # elements between successive block starts
-            if start < 0 or start + (v.count - 1) * spb + epb > len(elems):
+            try:
+                self._rows_view = strided_rows(
+                    self._elems(),
+                    (self.base_offset + v.first_disp) // u,
+                    v.blocklength // u,
+                    v.stride // u,
+                    v.count,
+                )
+            except ValueError:
                 self._vec = None  # layout exceeds the buffer: no fast path
                 self.plan = PLAN_GATHER
                 return None
-            item = elems.dtype.itemsize
-            self._rows_view = np.lib.stride_tricks.as_strided(
-                elems[start:],
-                shape=(v.count, epb),
-                strides=(spb * item, item),
-            )
         return self._rows_view
 
     def _fast_range(self, buf: np.ndarray, lo: int, hi: int) -> bool:

@@ -93,6 +93,7 @@ class Datatype:
         self.committed = False
         self._spans: Optional[Spans] = None
         self._contig: Optional[bool] = None
+        self._granularity: Optional[int] = None
         #: per-(count) caches used by the convertor fast path
         self._gather_cache: dict[tuple[int, int], np.ndarray] = {}
         #: per-count canonical forms (repro.datatype.canonical)
@@ -163,14 +164,19 @@ class Datatype:
         """Largest power-of-two byte unit dividing every span disp/len.
 
         The convertor's gather fast path works at this granularity; 8 for
-        double-based types, smaller for packed char structs.
+        double-based types, smaller for packed char structs.  Computed
+        once per committed type: the typemap never changes after commit.
         """
-        s = self.spans
-        if s.count == 0:
-            return 1
-        g = int(np.gcd.reduce(np.concatenate([s.disps, s.lens])))
-        g = math.gcd(g, 16) if g else 16
-        return max(1, g)
+        g = self._granularity
+        if g is None:
+            s = self.spans
+            if s.count == 0:
+                g = 1
+            else:
+                g = int(np.gcd.reduce(np.concatenate([s.disps, s.lens])))
+                g = max(1, math.gcd(g, 16) if g else 16)
+            self._granularity = g
+        return g
 
     def signature_primitive_count(self) -> int:
         """Total number of primitive elements in the signature."""

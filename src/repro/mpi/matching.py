@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.mpi.message import Envelope
+from repro.obs.metrics import MetricsRegistry
 from repro.sanitize import runtime as _san
 from repro.sim.core import Future
 
@@ -32,7 +33,9 @@ class PostedRecv:
 class MatchingEngine:
     """Per-rank matcher."""
 
-    def __init__(self) -> None:
+    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
+        #: where dropped duplicate arrivals are counted (None: not counted)
+        self._metrics = metrics
         self._posted: list[PostedRecv] = []
         self._unexpected: list[tuple[Envelope, Any]] = []
         self._order = 0
@@ -54,14 +57,21 @@ class MatchingEngine:
         (source, comm) before matching: a message that overtook an
         earlier-posted one on the wire (smaller eager pack, injected
         delay) is held back until the gap closes, so matching always
-        sees send order — MPI's non-overtaking guarantee.
+        sees send order — MPI's non-overtaking guarantee.  A duplicated
+        control message (a ``pair_seq`` already delivered or already
+        held) is dropped and counted as ``matching.dup_arrivals_dropped``.
         """
         if env.pair_seq < 0:
             return self._deliver(env, arrival)
         key = (env.source, env.comm_id)
         expected = self._next_pair.get(key, 0)
         if env.pair_seq != expected:
-            self._held.setdefault(key, {})[env.pair_seq] = (env, arrival)
+            held = self._held.setdefault(key, {})
+            if env.pair_seq < expected or env.pair_seq in held:
+                if self._metrics is not None:
+                    self._metrics.counter("matching.dup_arrivals_dropped").inc()
+                return None
+            held[env.pair_seq] = (env, arrival)
             return None
         matched = self._deliver(env, arrival)
         expected += 1

@@ -54,7 +54,6 @@ class MpiProcess:
 
             self.tuner = Autotuner.from_config(config)
         self.sim: Simulator = node.sim
-        self.matching = MatchingEngine()
         #: per-(dest, comm) send counters backing the envelope pair_seq
         #: stamp (the receiver re-sequences arrivals by it)
         self._send_seq: dict[tuple[int, int], int] = {}
@@ -64,6 +63,7 @@ class MpiProcess:
             if metrics is not None
             else MetricsRegistry().scoped(f"r{rank}.")
         )
+        self.matching = MatchingEngine(self.metrics)
         #: one :class:`TransferStats` per completed transfer on this rank
         #: (config.transfer_log=False keeps only the counters — scale runs)
         self.transfer_log: list[TransferStats] = []

@@ -23,17 +23,20 @@ simulated numbers) with::
 from __future__ import annotations
 
 import hashlib
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from repro import sanitize
 from repro.bench.harness import make_env
 from repro.datatype.convertor import pack_bytes
 from repro.datatype.ddt import contiguous, vector
 from repro.datatype.primitives import DOUBLE
 from repro.faults.plan import FaultSpec
 from repro.mpi.config import MpiConfig
+from repro.sanitize import SanitizeOptions
 from repro.workloads.matrices import lower_triangular_type
 
 #: buffer placement and datatype per case
@@ -49,9 +52,10 @@ BTLS = ("sm-2gpu", "ib")
 RECVS = {"exact": (1, 1), "larger": (1, 2), "zero": (0, 0)}
 #: fault plans: duplication and delay on the default data-plane targets
 #: (an active plan on the eager path), and delays aimed at the eager RTS
-#: itself, which reorder it against the other direction's traffic.  The
-#: RTS is not duplicated: the PML does not dedupe control messages, so a
-#: duplicate would sit in the re-sequencer forever
+#: itself, which reorder it against the other direction's traffic.  A
+#: duplicated RTS is dropped by the matching engine's re-sequencer and
+#: changes only the event count; test_duplicated_rts_is_dropped covers
+#: it outside this table
 FAULTS = {
     "none": None,
     "dup-delay": FaultSpec(seed=5, am_dup=0.5, am_delay=0.5),
@@ -198,6 +202,41 @@ def test_eager_timing_and_bytes_pinned(buffers, btl, recv, faults):
     assert run_case(buffers, btl, recv, faults) == GOLDEN[
         (buffers, btl, recv, faults)
     ]
+
+
+@pytest.mark.parametrize("buffers", ["host-contiguous", "device-triangular"])
+def test_duplicated_rts_is_dropped(buffers, monkeypatch):
+    """Every RTS delivered twice: each copy is dropped at the matching
+    engine and counted, the verifier stays clean (the copies used to sit
+    in the re-sequencer and fail the finalize audit with
+    ``verify.seq_gap``), and timing and bytes equal the fault-free run."""
+    envs = []
+    real_make_env = make_env
+
+    def capture(*args, **kwargs):
+        envs.append(real_make_env(*args, **kwargs))
+        return envs[-1]
+
+    monkeypatch.setattr(sys.modules[__name__], "make_env", capture)
+    monkeypatch.setitem(
+        FAULTS, "rts-dup", FaultSpec(seed=1, am_dup=1.0, targets=("rts",))
+    )
+    with sanitize.enabled(SanitizeOptions.all(mode="record")) as rep:
+        elapsed, _events, digest, counts = run_case(
+            buffers, "sm-2gpu", "exact", "rts-dup"
+        )
+    assert rep.violations == []
+    ref = GOLDEN[(buffers, "sm-2gpu", "exact", "none")]
+    assert (elapsed, digest, counts) == (ref[0], ref[2], ref[3])
+    snap = envs[0].world.metrics.snapshot()
+    dropped = {
+        k: v for k, v in snap.items() if k.endswith("matching.dup_arrivals_dropped")
+    }
+    # two sends per direction, each RTS duplicated once
+    assert dropped == {
+        "r0.matching.dup_arrivals_dropped": 2,
+        "r1.matching.dup_arrivals_dropped": 2,
+    }
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ import pytest
 
 from repro.mpi.matching import MatchingEngine, PostedRecv
 from repro.mpi.message import ANY_SOURCE, ANY_TAG, Envelope
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.core import Future, Simulator
 
 
@@ -136,3 +137,35 @@ class TestNonOvertakingResequencing:
         fut = post(eng, sim, source=0, tag=4)
         arrive(eng, source=0, tag=4, what="legacy")  # pair_seq=-1
         assert fut.value == "legacy"
+
+
+class TestDuplicateArrivals:
+    """A control message delivered twice (fault-injected ``am_dup`` on the
+    RTS) carries a ``pair_seq`` already seen: it is dropped and counted."""
+
+    def test_stale_and_held_duplicates_dropped(self, sim):
+        metrics = MetricsRegistry()
+        eng = MatchingEngine(metrics)
+        stamp = lambda seq: Envelope(0, 1, tag=1, comm_id=0, pair_seq=seq)
+        eng.arrive(stamp(0), "a")
+        eng.arrive(stamp(0), "a-dup")  # below the next expected seq
+        eng.arrive(stamp(2), "c")
+        eng.arrive(stamp(2), "c-dup")  # already held
+        assert metrics.get("matching.dup_arrivals_dropped").value == 2
+        eng.arrive(stamp(1), "b")
+        got = [post(eng, sim, source=0, tag=1).value for _ in range(3)]
+        assert got == ["a", "b", "c"]
+        assert eng.unexpected_count == 0
+        assert not eng._held[(0, 0)]
+
+    def test_unstamped_arrivals_never_dropped(self):
+        eng = MatchingEngine(MetricsRegistry())
+        arrive(eng, source=0, tag=1, what="x")
+        arrive(eng, source=0, tag=1, what="x")
+        assert eng.unexpected_count == 2
+
+    def test_no_registry_still_drops(self):
+        eng = MatchingEngine()
+        eng.arrive(Envelope(0, 1, tag=1, comm_id=0, pair_seq=0), "a")
+        eng.arrive(Envelope(0, 1, tag=1, comm_id=0, pair_seq=0), "a")
+        assert eng.unexpected_count == 1
