@@ -212,11 +212,14 @@ def compare(current: dict, baseline: dict, only=None) -> list[Issue]:
             tol = float(tolerances.get(path, SIM_REL_TOL))
             delta = _rel_delta(cur_val, base_val)
             if delta > tol:
+                moved = (
+                    f"moved {delta * 100:.1f}%" if base_val else "moved off 0"
+                )
                 issues.append(
                     Issue(
                         "fail",
                         path,
-                        f"simulated metric moved {delta * 100:.1f}% "
+                        f"simulated metric {moved} "
                         f"({cur_val:g} vs baseline {base_val:g}, "
                         f"tolerance {tol * 100:g}%)",
                     )

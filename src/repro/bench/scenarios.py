@@ -56,6 +56,7 @@ __all__ = [
     "memcpy2d_sweep",
     "pcie_bandwidths",
     "pingpong_times",
+    "index_map_bytes",
     "vc_times",
     "transpose_times",
     "pingpong_with_grid",
@@ -269,13 +270,21 @@ def pcie_bandwidths(n: int) -> dict[str, float]:
     return out
 
 
-def pingpong_times(env_kind: str, n: int) -> dict[str, float]:
-    """Fig 10: V/T ping-pong round-trip, ours vs the MVAPICH baseline."""
+def pingpong_times(
+    env_kind: str, n: int, types: Optional[list] = None
+) -> dict[str, float]:
+    """Fig 10: V/T ping-pong round-trip, ours vs the MVAPICH baseline.
+
+    ``types``, when given, collects the datatypes the ping-pongs used
+    (for :func:`index_map_bytes`).
+    """
     out: dict[str, float] = {}
     for name, wl in (
         ("V", MatrixWorkload.submatrix(n, n + 512)),
         ("T", MatrixWorkload.triangular(n)),
     ):
+        if types is not None:
+            types.append(wl.datatype)
         env = make_env(env_kind)
         b0, b1 = matrix_buffers(env, wl)
         out[name] = pingpong(env, b0, wl.datatype, 1, b1, wl.datatype, 1, iters=2)
@@ -285,6 +294,18 @@ def pingpong_times(env_kind: str, n: int) -> dict[str, float]:
             env2, c0, wl.datatype, 1, c1, wl.datatype, 1, iters=1
         )
     return out
+
+
+def index_map_bytes(types: list) -> int:
+    """Bytes of element-granular gather maps cached on ``types``.
+
+    Host-independent: it counts what the convertor kept, not what the
+    allocator did.  A runs-form layout with long runs moves through an
+    O(runs) table and must keep no map at all.
+    """
+    return sum(
+        idx.nbytes for dt in types for idx in dt._gather_cache.values()
+    )
 
 
 def vc_times(env_kind: str, n: int) -> dict[str, float]:
@@ -461,9 +482,11 @@ def _fig10(profile: Profile) -> dict[str, float]:
     n = profile.pick(2048, 1024)
     kinds = profile.pick(["sm-1gpu", "sm-2gpu", "ib"], ["sm-1gpu", "sm-2gpu"])
     out: dict[str, float] = {}
+    types: list = []
     for kind in kinds:
-        for k, v in pingpong_times(kind, n).items():
+        for k, v in pingpong_times(kind, n, types).items():
             out[f"{_slug(kind)}_{_slug(k)}_s"] = v
+    out["index_map_bytes"] = float(index_map_bytes(types))
     return out
 
 

@@ -68,6 +68,7 @@ __all__ = [
     "PLAN_STRIDED2D",
     "PLAN_VECTOR_KERNEL",
     "PLAN_GATHER",
+    "PLAN_RUNS",
     "PLAN_STACK",
     "plan_cost",
     "select_cpu_plan",
@@ -85,11 +86,13 @@ PLAN_STRIDED2D = "strided2d"
 PLAN_VECTOR_KERNEL = "vector_kernel"
 #: irregular runs: precompiled gather map (CPU) / CUDA_DEV work list (GPU)
 PLAN_GATHER = "gather"
+#: irregular runs on the CPU: one slice copy per run from an O(runs) table
+PLAN_RUNS = "runs"
 #: generic resumable stack walk — always feasible, never fast
 PLAN_STACK = "stack"
 
 #: plans the CPU convertor can execute, in typical cost order
-CPU_PLANS = (PLAN_MEMCPY, PLAN_STRIDED2D, PLAN_GATHER, PLAN_STACK)
+CPU_PLANS = (PLAN_MEMCPY, PLAN_STRIDED2D, PLAN_RUNS, PLAN_GATHER, PLAN_STACK)
 #: plans the GPU datatype engine can execute
 GPU_PLANS = (PLAN_MEMCPY, PLAN_VECTOR_KERNEL, PLAN_GATHER)
 
@@ -240,6 +243,7 @@ _BYTE_COST = {
     PLAN_MEMCPY: 1.0,
     PLAN_STRIDED2D: 1.2,
     PLAN_VECTOR_KERNEL: 1.2,
+    PLAN_RUNS: 1.0,
     PLAN_GATHER: 4.0,
     PLAN_STACK: 40.0,
 }
@@ -248,6 +252,7 @@ _BLOCK_COST = {
     PLAN_MEMCPY: 0.0,
     PLAN_STRIDED2D: 16.0,
     PLAN_VECTOR_KERNEL: 16.0,
+    PLAN_RUNS: 8000.0,
     PLAN_GATHER: 8.0,
     PLAN_STACK: 64.0,
 }
@@ -277,6 +282,8 @@ def _cpu_feasible(form: CanonicalForm, unit: int, base_offset: int) -> list:
         feasible.append(PLAN_MEMCPY)
     if form.kind == "vector" and aligned:
         feasible.append(PLAN_STRIDED2D)
+    if form.kind == "runs":
+        feasible.append(PLAN_RUNS)
     feasible.append(PLAN_GATHER)
     feasible.append(PLAN_STACK)
     return feasible

@@ -10,12 +10,16 @@ Two interchangeable engines exist:
   - ``memcpy``    — single gap-free block: one slice copy per range;
   - ``strided2d`` — uniform vector: head/body/tail strided slice copies
     (the CPU counterpart of ``cudaMemcpy2D``);
+  - ``runs``      — irregular layouts whose runs are long: one slice
+    copy per run, driven by an O(runs) table of displacements, lengths
+    and packed offsets (:func:`run_table`) — the CPU counterpart of the
+    paper's per-block CUDA_DEV work list;
   - ``gather``    — a cached NumPy index array at the datatype's
     granularity (8 B for double-based types), so packing a fragment is
-    one fancy-index expression — the moral equivalent of the paper's
-    cached CUDA_DEV list: it depends only on the type's *shape*, never
-    on buffer addresses, so it is computed once per (datatype, count)
-    and reused for every subsequent pack/unpack;
+    one fancy-index expression.  It depends only on the type's *shape*,
+    never on buffer addresses, so it is computed once per (datatype,
+    count) and reused — but it holds one entry per element, so the cost
+    model keeps it for layouts of short runs;
   - ``stack``     — the resumable stack walk, for sub-granularity base
     offsets no precompiled map can express.
 
@@ -25,13 +29,15 @@ Both engines are validated against each other by property tests.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from bisect import bisect_right
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from repro.datatype.canonical import (
     PLAN_GATHER,
     PLAN_MEMCPY,
+    PLAN_RUNS,
     PLAN_STACK,
     PLAN_STRIDED2D,
     canonicalize,
@@ -44,6 +50,8 @@ from repro.datatype.typemap import Spans
 __all__ = [
     "Convertor",
     "gather_indices",
+    "RunTable",
+    "run_table",
     "stream_unit",
     "strided_rows",
     "unit_elems",
@@ -113,6 +121,39 @@ def gather_indices(dt: Datatype, count: int = 1) -> tuple[np.ndarray, int]:
     return idx, unit
 
 
+class RunTable(NamedTuple):
+    """O(runs) copy plan of the runs plan, in bytes.
+
+    Run ``r`` covers user bytes ``[starts[r], starts[r] + n)`` and packed
+    bytes ``[offs[r], offs[r + 1])``, ``n = offs[r + 1] - offs[r]``;
+    ``true_lb``/``true_ub`` bound every run's reach.  Plain lists,
+    because the copy loop reads them one run at a time.
+    """
+
+    starts: list
+    offs: list
+    true_lb: int
+    true_ub: int
+
+
+def run_table(dt: Datatype, count: int = 1) -> RunTable:
+    """The runs plan's table for ``count`` elements of ``dt``.
+
+    Cached per count on the datatype, like the canonical form; unlike
+    :func:`gather_indices` it never grows with the element count.
+    """
+    table = dt._runs_cache.get(count)
+    if table is None:
+        spans = dt.spans_for_count(count)
+        offs = np.zeros(spans.count + 1, dtype=np.int64)
+        np.cumsum(spans.lens, out=offs[1:])
+        table = RunTable(
+            spans.disps.tolist(), offs.tolist(), spans.true_lb, spans.true_ub
+        )
+        dt._runs_cache[count] = table
+    return table
+
+
 def _spans_to_indices(spans: Spans, unit: int) -> np.ndarray:
     """Expand byte spans into per-element user offsets (in units)."""
     if spans.count == 0:
@@ -179,6 +220,8 @@ class Convertor:
         #: a strided 2-D copy (the CPU counterpart of cudaMemcpy2D)
         self._vec = None
         self._rows_view: Optional[np.ndarray] = None
+        #: the runs plan's table, bounds-checked on first use
+        self._runs: Optional[RunTable] = None
         if self.plan == PLAN_STACK:
             self._fallback()  # misaligned base: stack machine from the start
         elif self.plan in (PLAN_MEMCPY, PLAN_STRIDED2D):
@@ -268,6 +311,59 @@ class Convertor:
                 rows[r1, :c1] = o[pos : pos + c1]
         return True
 
+    def _run_plan(self) -> RunTable:
+        """The run table, once checked to stay inside this buffer."""
+        if self._runs is None:
+            table = run_table(self.dt, self.count)
+            lo = self.base_offset + table.true_lb
+            hi = self.base_offset + table.true_ub
+            if table.starts and (lo < 0 or hi > len(self.user)):
+                raise ValueError(
+                    f"runs [{lo}, {hi}) exceed a buffer of "
+                    f"{len(self.user)} bytes"
+                )
+            self._runs = table
+        return self._runs
+
+    def _runs_range(self, buf: np.ndarray, lo: int, hi: int) -> None:
+        """Packed range [lo, hi) moved with one slice copy per run.
+
+        The copies go through memoryviews: a run costs one ``memcpy``
+        plus about half the interpreter overhead of a NumPy slice
+        assignment, which is what sets the plan's per-run cost.
+        """
+        starts, offs, _lb, _ub = self._run_plan()
+        user = memoryview(self.user)
+        packed = memoryview(buf)
+        base = self.base_offset
+        pack = self.direction == "pack"
+        r = bisect_right(offs, lo) - 1
+        pos = lo
+        while pos < hi:
+            skip = pos - offs[r]
+            end = min(offs[r + 1], hi)
+            s = base + starts[r] + skip
+            if pack:
+                packed[pos - lo : end - lo] = user[s : s + end - pos]
+            else:
+                user[s : s + end - pos] = packed[pos - lo : end - lo]
+            pos = end
+            r += 1
+
+    def _move(self, buf: np.ndarray, lo: int, hi: int) -> None:
+        """Unit-aligned transfer of packed range [lo, hi) by the plan."""
+        if self.plan == PLAN_RUNS:
+            self._runs_range(buf, lo, hi)
+            return
+        if self._fast_range(buf, lo, hi):
+            return
+        u = self._unit
+        idx = self._indices()[lo // u : hi // u]
+        if self.direction == "pack":
+            buf[: hi - lo] = self._elems()[idx].view(np.uint8)
+        else:
+            self._elems()[idx] = buf[: hi - lo].view(_unit_dtype(u))
+
     def _fallback(self) -> StackMachine:
         if self._stack is None:
             self.plan = PLAN_STACK
@@ -304,9 +400,7 @@ class Convertor:
         lo, hi = self.position, self.position + n
         u = self._unit
         if self._stack is None and lo % u == 0 and hi % u == 0:
-            if not self._fast_range(out[:n], lo, hi):
-                idx = self._indices()[lo // u : hi // u]
-                out[:n] = self._elems()[idx].view(np.uint8)
+            self._move(out, lo, hi)
         else:
             done = self._fallback().advance(out[:n])
             assert done == n
@@ -326,9 +420,7 @@ class Convertor:
         lo, hi = self.position, self.position + n
         u = self._unit
         if self._stack is None and lo % u == 0 and hi % u == 0:
-            if not self._fast_range(data[:n], lo, hi):
-                idx = self._indices()[lo // u : hi // u]
-                self._elems()[idx] = data[:n].view(_unit_dtype(u))
+            self._move(data, lo, hi)
         else:
             done = self._fallback().advance(data[:n])
             assert done == n
@@ -380,10 +472,7 @@ class Convertor:
             assert done == hi - lo
             self._rstack_pos = hi
             return
-        if self._fast_range(out[: hi - lo], lo, hi):
-            return
-        idx = self._indices()[lo // u : hi // u]
-        out[: hi - lo] = self._elems()[idx].view(np.uint8)
+        self._move(out, lo, hi)
 
     def unpack_range(self, data: np.ndarray, lo: int, hi: int) -> None:
         """Random-access unpack of packed-stream range [lo, hi) (aligned)."""
@@ -395,10 +484,7 @@ class Convertor:
             assert done == hi - lo
             self._rstack_pos = hi
             return
-        if self._fast_range(data[: hi - lo], lo, hi):
-            return
-        idx = self._indices()[lo // u : hi // u]
-        self._elems()[idx] = data[: hi - lo].view(_unit_dtype(u))
+        self._move(data, lo, hi)
 
 
 _UNIT_DTYPES = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}

@@ -96,6 +96,8 @@ class Datatype:
         self._granularity: Optional[int] = None
         #: per-(count) caches used by the convertor fast path
         self._gather_cache: dict[tuple[int, int], np.ndarray] = {}
+        #: per-count run tables of the runs plan
+        self._runs_cache: dict = {}
         #: per-count canonical forms (repro.datatype.canonical)
         self._canon_cache: dict = {}
 

@@ -728,12 +728,15 @@ def _alltoall_common(
     recvs = {s: (recvbufs[s], recv_dt, recv_counts[s]) for s in range(size)}
     tuner = mpi.proc.tuner
     t0 = mpi.proc.sim.now if tuner is not None else 0.0
+    if algo is not CollAlgorithm.DIRECT:
+        # no two-sided rung puts a zero-byte block on the wire, so ranks
+        # that resolve different rungs (``auto`` decides from each rank's
+        # own largest block) still match message for message
+        sends = {d: v for d, v in sends.items() if send_dt.size * v[2]}
+        recvs = {s: v for s, v in recvs.items() if recv_dt.size * v[2]}
     if algo is CollAlgorithm.PAIRWISE:
         body = _a2av_pairwise(mpi, sends, recvs, tag)
     elif algo is CollAlgorithm.STAGED:
-        # the staged rung sends no message for a zero-byte block
-        sends = {d: v for d, v in sends.items() if send_dt.size * v[2]}
-        recvs = {s: v for s, v in recvs.items() if recv_dt.size * v[2]}
         body = _staged(
             mpi, sends, recvs, lambda s, r: _exchange_flat(mpi, s, r, tag)
         )
@@ -760,19 +763,31 @@ def _alltoall_common(
 
 
 def _a2av_pairwise(mpi, sends, recvs, tag):
-    """Pairwise exchange: N-1 ordered sendrecv rounds (plus self)."""
+    """Pairwise exchange: N-1 ordered sendrecv rounds (plus self).
+
+    A peer without a slot posts nothing: a round whose send or receive
+    block is absent runs the other half alone."""
     size = mpi.size
     rank = mpi.rank
-    self_req = mpi.isend(*sends[rank], dest=rank, tag=tag)
-    yield mpi.recv(*recvs[rank], source=rank, tag=tag)
-    yield self_req
+    self_req = None
+    if rank in sends:
+        self_req = mpi.isend(*sends[rank], dest=rank, tag=tag)
+    if rank in recvs:
+        yield mpi.recv(*recvs[rank], source=rank, tag=tag)
+    if self_req is not None:
+        yield self_req
     for step in range(1, size):
         dst = (rank + step) % size
         src = (rank - step) % size
-        yield mpi.sendrecv(
-            *sends[dst], dst, *recvs[src],
-            source=src, sendtag=tag, recvtag=tag,
-        )
+        if dst in sends and src in recvs:
+            yield mpi.sendrecv(
+                *sends[dst], dst, *recvs[src],
+                source=src, sendtag=tag, recvtag=tag,
+            )
+        elif dst in sends:
+            yield mpi.send(*sends[dst], dest=dst, tag=tag)
+        elif src in recvs:
+            yield mpi.recv(*recvs[src], source=src, tag=tag)
 
 
 def _exchange_flat(mpi, sends, recvs, tag):

@@ -7,6 +7,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 from repro.cuda.runtime import CudaContext
 from repro.faults.plan import FaultPlan
 from repro.gpu_engine.engine import GpuDatatypeEngine
+from repro.hw.memory import Buffer
 from repro.mpi.config import MpiConfig
 from repro.mpi.matching import MatchingEngine
 from repro.mpi.message import AmPacket
@@ -89,7 +90,8 @@ class MpiProcess:
         #: of the RDMA connection (and then caching the registration)"
         self.ipc_cache: dict = {}
         self.am_received = 0
-        # staging-buffer free lists, keyed (kind, nbytes, mapped)
+        # staging-buffer free lists, keyed (kind, nbytes, mapped); the
+        # whole-message host buffers of any size share ("host", None, mapped)
         self._staging_pool: dict = {}
 
     # -- staging buffer pool ------------------------------------------------
@@ -102,9 +104,24 @@ class MpiProcess:
     ):
         """Reusable staging buffer ('host' or 'device'), pooled per rank.
 
-        Pooling mirrors the registration/allocation caching real
-        implementations do: a ping-pong reuses the same ring every
-        iteration, so IPC handles stay cached on the peer.
+        The policy: pool what is reused at a fixed size; share what is
+        sized by the whole message.
+
+        * Device buffers and host buffers up to the pipeline ring
+          (``frag_bytes * pipeline_depth``) come back at exactly the size
+          they were requested at.  Pooling mirrors the registration
+          caching real implementations do: a ping-pong reuses the same
+          ring every iteration, so IPC handles stay cached on the peer —
+          allocation identity enters simulated time through that cache.
+        * Larger host buffers are sized by a whole message, and a rank
+          keeps one per message size it ever staged if they are pooled
+          exactly.  They are served best-fit instead: the smallest idle
+          buffer that fits (same mapped flag) is handed out as a view of
+          the requested size.  A miss frees the idle buffers smaller than
+          the request before allocating, so sequential messages of any
+          sizes leave one idle buffer per flag, sized by the largest.
+          Under the memory sanitizer the tail past the request is
+          redzone again, so an overrun is still reported.
 
         ``optional=True`` marks an allocation the caller can live
         without (e.g. the receiver's local staging optimization); under
@@ -112,40 +129,77 @@ class MpiProcess:
         buffer, and the caller degrades gracefully.  Required
         allocations are never refused.
         """
-        from repro.cuda.uma import map_host_buffer
-
         if optional and self.faults is not None and self.faults.fail_staging(kind):
             return None
-        key = (kind, nbytes, zero_copy_map)
-        pool = self._staging_pool.setdefault(key, [])
+        if kind == "host" and nbytes > self._ring_bytes():
+            return self._acquire_shared(nbytes, zero_copy_map)
+        pool = self._staging_pool.setdefault((kind, nbytes, zero_copy_map), [])
         if pool:
-            buf, snap = pool.pop()
-            if _san.MEM is not None:
-                # pooled reuse is logically a fresh allocation: stale
-                # contents from the previous transfer must read as
-                # uninitialized, not as valid data
-                _san.MEM.repoison(buf)
-            if _san.RACE is not None and snap is not None:
-                # allocator-recycling edge: the releaser's clock orders
-                # the previous user's accesses before ours (the moral
-                # equivalent of malloc/free happens-before in TSan)
-                _san.RACE.join_actor(_san.RACE.current, snap)
-            return buf
+            return self._reuse(*pool.pop())
         if kind == "device":
             if self.gpu is None:
                 raise RuntimeError(f"rank {self.rank} has no GPU for staging")
             return self.gpu.memory.alloc(nbytes, label="staging")
+        return self._alloc_host(nbytes, zero_copy_map)
+
+    def release_staging(self, kind: str, buf, zero_copy_map: bool = False) -> None:
+        """Return a staging buffer to its pool."""
+        snap = None if _san.RACE is None else _san.RACE.snapshot()
+        size = buf.nbytes
+        if kind == "host" and size > self._ring_bytes():
+            size = None  # a whole-message buffer: shared, any size
+        self._staging_pool[(kind, size, zero_copy_map)].append((buf, snap))
+
+    def _ring_bytes(self) -> int:
+        """Largest host staging request pooled at its exact size."""
+        return self.config.frag_bytes * self.config.pipeline_depth
+
+    def _acquire_shared(self, nbytes: int, mapped: bool):
+        """Best-fit whole-message host buffer, as a view of ``nbytes``.
+
+        An idle entry is the view its last user released; what it can
+        serve is its allocation's requested size (the mapped region).
+        """
+        idle = self._staging_pool.setdefault(("host", None, mapped), [])
+        best = min(
+            (e for e in idle if e[0].allocation.requested_nbytes >= nbytes),
+            key=lambda e: e[0].allocation.requested_nbytes,
+            default=None,
+        )
+        if best is None:
+            for buf, _snap in idle:
+                # smaller than this request: a larger buffer replaces it
+                buf.memory.free(buf.allocation)
+            idle.clear()
+            return self._alloc_host(nbytes, mapped)
+        idle.remove(best)
+        buf, snap = best
+        self._reuse(buf, snap, nbytes)
+        return Buffer(buf.allocation, 0, nbytes, label=buf.label)
+
+    def _alloc_host(self, nbytes: int, mapped: bool):
+        from repro.cuda.uma import map_host_buffer
+
         buf = self.node.host_memory.alloc(nbytes, label="staging")
-        if zero_copy_map:
+        if mapped:
             if self.gpu is None:
                 raise RuntimeError("zero-copy staging needs a GPU")
             map_host_buffer(buf, self.gpu)
         return buf
 
-    def release_staging(self, kind: str, buf, zero_copy_map: bool = False) -> None:
-        """Return a staging buffer to its pool."""
-        snap = None if _san.RACE is None else _san.RACE.snapshot()
-        self._staging_pool[(kind, buf.nbytes, zero_copy_map)].append((buf, snap))
+    @staticmethod
+    def _reuse(buf, snap, nbytes=None):
+        """Hand out a pooled buffer (its first ``nbytes``) as fresh memory."""
+        if _san.MEM is not None:
+            # stale contents from the previous transfer must read as
+            # uninitialized, not as valid data
+            _san.MEM.repoison(buf, nbytes)
+        if _san.RACE is not None and snap is not None:
+            # allocator-recycling edge: the releaser's clock orders the
+            # previous user's accesses before ours (the moral equivalent
+            # of malloc/free happens-before in TSan)
+            _san.RACE.join_actor(_san.RACE.current, snap)
+        return buf
 
     @property
     def engine(self) -> GpuDatatypeEngine:

@@ -29,7 +29,7 @@ def sender(state: TransferState, s_info: SideInfo, r_info: SideInfo, cts: dict):
     job = CpuSideJob(proc, state.dt, state.count, state.buf, "pack")
     stage = None
     if ranges and not job.contiguous:
-        stage = proc.node.host_memory.alloc(state.frag_bytes, label="snd-stage")
+        stage = proc.acquire_staging("host", state.frag_bytes)
     try:
         for i, (lo, hi) in enumerate(ranges):
             yield state.acquire_credit()
@@ -42,7 +42,7 @@ def sender(state: TransferState, s_info: SideInfo, r_info: SideInfo, cts: dict):
         yield all_acked
     finally:
         if stage is not None:
-            stage.free()
+            proc.release_staging("host", stage)
         state.unbind_all("ack")
     return state.total
 

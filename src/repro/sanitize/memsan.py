@@ -57,13 +57,22 @@ class MemorySanitizer:
         self._valid.pop(allocation.alloc_id, None)
         self._requested.pop(allocation.alloc_id, None)
 
-    def repoison(self, buf: "Buffer") -> None:
-        """Re-poison a buffer's range (staging-pool reuse hands out
-        logically-fresh memory whose previous contents must not leak
-        through as 'initialized')."""
-        shadow = self._valid.get(buf.allocation.alloc_id)
+    def repoison(self, buf: "Buffer", nbytes: Optional[int] = None) -> None:
+        """Re-poison a pooled buffer handed out again (staging-pool reuse
+        hands out logically-fresh memory whose previous contents must not
+        leak through as 'initialized').
+
+        The first ``nbytes`` (default: all) of ``buf`` are the new
+        request; everything past them is redzone until the next reuse,
+        so a shared buffer serving a smaller request still reports a
+        sub-buffer that reaches beyond it.
+        """
+        aid = buf.allocation.alloc_id
+        shadow = self._valid.get(aid)
         if shadow is not None:
-            shadow[buf.offset : buf.offset + buf.nbytes] = False
+            shadow[buf.offset :] = False
+            end = buf.offset + (buf.nbytes if nbytes is None else nbytes)
+            self._requested[aid] = end
 
     # -- buffer construction / access ----------------------------------------
     def on_buffer(self, buf: "Buffer") -> None:

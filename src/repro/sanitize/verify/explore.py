@@ -27,7 +27,7 @@ wildcard receive), ``rendezvous`` (pipelined RTS/CTS with small
 fragments), the three ``smoke-*`` environments of
 :mod:`repro.bench.smoke` (ipc_rdma / copyinout / host), and
 ``coll_crossover`` (staged and direct bcast, gather, allgather and
-alltoall over a 2x2 world).
+alltoall over a 2x2 world, then an ``auto`` alltoallv with zero counts).
 """
 
 from __future__ import annotations
@@ -238,7 +238,9 @@ def _coll_scenario(sim: Simulator) -> str:
     """The staged wrapper and the direct helper under every collective:
     bcast, gather, allgather and alltoall over a 2x2 world, each run
     STAGED then DIRECT (the ``coll_crossover`` bench scenario's
-    protagonists), with every received block in the digest."""
+    protagonists), with every received block in the digest.  Then one
+    ``auto`` alltoallv with ragged counts that include zeros, where rank
+    0's largest block goes nonblocking and the others stage."""
     from repro.hw.node import Cluster
     from repro.datatype.ddt import contiguous
     from repro.datatype.primitives import DOUBLE
@@ -246,6 +248,7 @@ def _coll_scenario(sim: Simulator) -> str:
         CollAlgorithm,
         allgather,
         alltoall,
+        alltoallv,
         bcast,
         gather,
     )
@@ -282,6 +285,25 @@ def _coll_scenario(sim: Simulator) -> str:
     for i in range(len(algos)):
         # rank i broadcasts its block i on rung i
         bcastbufs[i][i].bytes[:] = rng.integers(0, 255, dt.size, dtype=np.uint8)
+    # alltoallv under auto: 8 KB elements, so rank 0's 5-element block is
+    # above the staged threshold and every other rank's largest is below
+    vdt = contiguous(1024, DOUBLE).commit()
+    vcounts = [[5, 0, 1, 0], [0, 1, 0, 2], [1, 0, 0, 3], [0, 2, 1, 0]]
+    vsend = [
+        [world.procs[r].ctx.malloc(vdt.size * max(c, 1)) for c in vcounts[r]]
+        for r in range(size)
+    ]
+    vrecv = [
+        [world.procs[r].ctx.malloc(vdt.size * max(vcounts[s][r], 1))
+         for s in range(size)]
+        for r in range(size)
+    ]
+    for row in vsend:
+        for b in row:
+            b.bytes[:] = rng.integers(0, 255, b.nbytes, dtype=np.uint8)
+    for row in vrecv:
+        for b in row:
+            b.fill(0)
 
     def program(rank):
         def run(mpi):
@@ -305,13 +327,17 @@ def _coll_scenario(sim: Simulator) -> str:
                     algorithm=algo,
                 )
                 yield mpi.barrier()
+            yield from alltoallv(
+                mpi, vsend[rank], vdt, vcounts[rank], vrecv[rank], vdt,
+                [vcounts[s][rank] for s in range(size)], algorithm="auto",
+            )
         return run
 
     world.run({r: program(r) for r in range(size)})
     world.finalize()
 
     h = _hasher()
-    for rows in (bcastbufs, *gathered, *allgathered, *recvbufs):
+    for rows in (bcastbufs, *gathered, *allgathered, *recvbufs, vrecv):
         for r in range(size):
             for b in rows[r]:
                 h.update(b.bytes.tobytes())

@@ -68,6 +68,20 @@ class TestCompare:
         cur["scenarios"]["scen"]["metrics"]["time_s"] *= 1.2
         assert failures(compare(cur, base)) == []
 
+    def test_exact_zero_gate(self):
+        """A zero baseline with tolerance 0 (``index_map_bytes``) passes
+        only at 0, and the failure reads as leaving 0."""
+        base = make_doc()
+        base["scenarios"]["scen"]["metrics"]["map_bytes"] = 0.0
+        base["tolerances"] = {"scen.map_bytes": 0.0}
+        cur = copy.deepcopy(base)
+        assert failures(compare(cur, base)) == []
+        cur["scenarios"]["scen"]["metrics"]["map_bytes"] = 8.0
+        issues = compare(cur, base)
+        assert failures(issues) == ["scen.map_bytes"]
+        msg = next(i for i in issues if i.metric == "scen.map_bytes").message
+        assert "moved off 0 (8 vs baseline 0" in msg
+
     def test_missing_metric_fails(self):
         base = make_doc()
         cur = copy.deepcopy(base)

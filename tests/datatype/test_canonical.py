@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.datatype.canonical import (
     PLAN_GATHER,
     PLAN_MEMCPY,
+    PLAN_RUNS,
     PLAN_STACK,
     PLAN_STRIDED2D,
     PLAN_VECTOR_KERNEL,
@@ -37,6 +38,7 @@ from repro.datatype.ddt import (
     vector,
 )
 from repro.datatype.primitives import BYTE, DOUBLE, INT
+from repro.workloads.matrices import lower_triangular_type
 
 from .strategies import buffer_for, datatypes, reference_pack
 
@@ -158,6 +160,53 @@ class TestPlanSelection:
         form = canonicalize(vector(8, 4, 6, DOUBLE))
         assert select_gpu_plan(form, force_dev=True) == PLAN_GATHER
 
+    def test_long_runs_select_runs_plan(self):
+        # 8164 B per run on average: one slice copy per run beats the
+        # element gather, and no element map is ever built
+        dt = lower_triangular_type(2040)
+        form = canonicalize(dt)
+        assert form.kind == "runs"
+        assert select_cpu_plan(form, 8) == PLAN_RUNS
+        assert select_gpu_plan(form) == PLAN_GATHER  # GPU menu unchanged
+        user = np.zeros(dt.spans.true_ub, dtype=np.uint8)
+        packed = pack_bytes(dt, 1, user)
+        unpack_bytes(dt, 1, user, packed)
+        conv = Convertor(dt, 1, user, "pack")
+        conv.pack_range(np.empty(4096, dtype=np.uint8), 8192, 12288)
+        assert conv.plan == PLAN_RUNS
+        assert not dt._gather_cache
+        assert list(dt._runs_cache) == [1]
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: lower_triangular_type(72),  # 292 B per run
+            lambda: lower_triangular_type(128),  # 516 B per run
+            # a seeded indexed shape of the multi-tenant traffic mix
+            lambda: indexed(*_tenant_indexed(1234, 48), DOUBLE).commit(),
+        ],
+        ids=["tri72", "tri128", "tenant-indexed"],
+    )
+    def test_short_runs_stay_on_gather(self, make):
+        form = canonicalize(make())
+        assert form.kind == "runs"
+        assert form.size / form.blocks < 600
+        assert select_cpu_plan(form, 8) == PLAN_GATHER
+
+    def test_runs_plan_cost_crosses_over_between_measured_points(self):
+        # measured: per-run copies lose at 2 KB runs, win at 4 KB runs
+        def form_with_runs(run_bytes):
+            n = 64
+            e = run_bytes // 8
+            return canonicalize(indexed(
+                [e + (i % 2) for i in range(n)],
+                [i * (e + 5) for i in range(n)],
+                DOUBLE,
+            ))
+
+        assert select_cpu_plan(form_with_runs(2048), 8) == PLAN_GATHER
+        assert select_cpu_plan(form_with_runs(4096), 8) == PLAN_RUNS
+
     def test_cost_ordering_sane(self):
         form = canonicalize(contiguous(32, DOUBLE))
         assert (
@@ -214,6 +263,104 @@ class TestPlanEquivalence:
         assert np.array_equal(
             pack_bytes(dt, count, user), reference_pack(dt, count, user)
         )
+
+
+def _tenant_indexed(pattern: int, blocks: int) -> tuple[list, list]:
+    """Block lengths and displacements (in doubles) of a seeded indexed
+    type: 4-95 doubles per block, 1-47 doubles apart."""
+    rng = np.random.default_rng([pattern, 3])
+    lengths = rng.integers(4, 96, size=blocks)
+    gaps = rng.integers(1, 48, size=blocks)
+    disps = np.cumsum(gaps) + np.concatenate(([0], np.cumsum(lengths)[:-1]))
+    return lengths.tolist(), disps.tolist()
+
+
+def runs_convertor(dt, count, user, direction):
+    """A convertor pinned to the runs plan, whatever the cost model picks."""
+    conv = Convertor(dt, count, user, direction)
+    assert conv.plan != PLAN_STACK
+    conv.plan = PLAN_RUNS
+    return conv
+
+
+class TestRunsPlanEquivalence:
+    """The runs plan moves exactly the stack machine's bytes: every
+    :class:`TestPlanEquivalence` case, plus decreasing displacements and
+    a triangular matrix, whatever plan the cost model would pick."""
+
+    CASES = TestPlanEquivalence.CASES + [
+        ("decreasing", lambda: indexed([3, 2, 4], [20, 10, 0], DOUBLE)),
+        ("hindexed-down", lambda: hindexed([16, 8, 24], [96, 40, 0], BYTE)),
+        ("triangular", lambda: lower_triangular_type(12)),
+    ]
+
+    @staticmethod
+    def _stack_pack(dt, count, user):
+        conv = Convertor(dt, count, user, "pack")
+        conv._fallback()
+        out = np.empty(conv.total_bytes, dtype=np.uint8)
+        conv.pack(out)
+        return out
+
+    @pytest.mark.parametrize("name,make", CASES, ids=[c[0] for c in CASES])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_whole_stream(self, name, make, count):
+        dt = make().commit()
+        user = buffer_for(dt, count, np.random.default_rng(5))
+        want = self._stack_pack(dt, count, user)
+        conv = runs_convertor(dt, count, user, "pack")
+        out = np.empty(conv.total_bytes, dtype=np.uint8)
+        conv.pack(out)
+        assert np.array_equal(out, want)
+
+        blank = np.zeros_like(user)
+        runs_convertor(dt, count, blank, "unpack").unpack(want)
+        assert np.array_equal(self._stack_pack(dt, count, blank), want)
+        assert not dt._gather_cache
+
+    @pytest.mark.parametrize("name,make", CASES, ids=[c[0] for c in CASES])
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_every_unit_range(self, name, make, count):
+        """Ranges starting and ending mid-run, one-element ranges, and
+        ranges spanning element boundaries of a tiled ``count``."""
+        dt = make().commit()
+        user = buffer_for(dt, count, np.random.default_rng(9))
+        want = self._stack_pack(dt, count, user)
+        u = Convertor(dt, count, user, "pack")._unit
+        total = len(want)
+        cuts = sorted({0, total, u, total - u, total // 2 // u * u,
+                       (total // 3 + 1) // u * u})
+        bounds = [(lo, hi) for lo in cuts for hi in cuts if lo < hi]
+        bounds += [(k, k + u) for k in range(0, total, u)]  # one element
+        pack = runs_convertor(dt, count, user, "pack")
+        blank = np.zeros_like(user)
+        unpack = runs_convertor(dt, count, blank, "unpack")
+        for lo, hi in bounds:
+            out = np.empty(hi - lo, dtype=np.uint8)
+            pack.pack_range(out, lo, hi)
+            assert np.array_equal(out, want[lo:hi]), (lo, hi)
+            unpack.unpack_range(want[lo:hi].copy(), lo, hi)
+        assert np.array_equal(self._stack_pack(dt, count, blank), want)
+
+    def test_base_offset(self):
+        dt = indexed([3, 2, 4], [20, 10, 0], DOUBLE).commit()
+        user = np.random.default_rng(1).integers(0, 255, 64 + 240, dtype=np.uint8)
+        conv = Convertor(dt, 1, user, "pack", base_offset=64)
+        conv.plan = PLAN_RUNS
+        out = np.empty(dt.size, dtype=np.uint8)
+        conv.pack(out)
+        assert np.array_equal(out, reference_pack(dt, 1, user[64:]))
+
+    def test_run_past_buffer_end_raises(self):
+        dt = lower_triangular_type(2040)
+        user = np.zeros(dt.spans.true_ub - 8, dtype=np.uint8)
+        conv = Convertor(dt, 1, user, "pack")
+        assert conv.plan == PLAN_RUNS
+        out = np.empty(dt.size, dtype=np.uint8)
+        with pytest.raises(ValueError, match="exceed a buffer"):
+            conv.pack(out)  # the last run would be silently truncated
+        with pytest.raises(ValueError, match="exceed a buffer"):
+            Convertor(dt, 1, user, "unpack").unpack_range(out[:8], 0, 8)
 
 
 class TestDevCacheReuse:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datatype.convertor import Convertor, gather_indices, pack_bytes
+from repro.datatype.canonical import PLAN_RUNS
+from repro.datatype.convertor import Convertor, gather_indices, pack_bytes, run_table
 from repro.datatype.ddt import contiguous, indexed, struct, vector
 from repro.datatype.primitives import BYTE, CHAR, DOUBLE, INT
 from tests.datatype.strategies import buffer_for, datatypes, reference_pack
@@ -136,6 +137,34 @@ class TestOracleEquivalence:
         conv = Convertor(dt, 1, out, "unpack")
         conv.unpack(packed)
         assert np.array_equal(pack_bytes(dt, 1, out), packed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dt=datatypes(), count=st.integers(1, 3),
+        cuts=st.lists(st.floats(0, 1), max_size=6), data=st.randoms(),
+    )
+    def test_runs_plan_equals_reference(self, dt, count, cuts, data):
+        """Pack and unpack through the runs plan, over random aligned
+        ranges, move exactly the reference bytes."""
+        rng = np.random.default_rng(data.randint(0, 2**31))
+        user = buffer_for(dt, count, rng)
+        want = reference_pack(dt, count, user)
+        pack = Convertor(dt, count, user, "pack")
+        u = pack._unit
+        total = len(want)
+        bounds = sorted({0, total} | {int(c * total) // u * u for c in cuts})
+        blank = np.zeros_like(user)
+        unpack = Convertor(dt, count, blank, "unpack")
+        pack.plan = unpack.plan = PLAN_RUNS
+        for lo, hi in zip(bounds, bounds[1:]):
+            out = np.empty(hi - lo, dtype=np.uint8)
+            pack.pack_range(out, lo, hi)
+            assert np.array_equal(out, want[lo:hi])
+            unpack.unpack_range(out, lo, hi)
+        assert np.array_equal(reference_pack(dt, count, blank), want)
+        table = run_table(dt, count)
+        assert len(table.starts) == dt.spans_for_count(count).count
+        assert table.offs[-1] == total
 
     @settings(max_examples=40, deadline=None)
     @given(dt=datatypes(), frag=st.integers(1, 64), data=st.randoms())

@@ -134,10 +134,10 @@ GOLDEN = {
     ('alltoall', 'staged', 'rendezvous'): (0.00028982066255397993, 260, '116338de39932b1bb18293ea'),
     ('alltoall', 'direct', 'eager'): (0.0001597598401188977, 140, 'e937bb2c1915321ad1f2d7e9'),
     ('alltoall', 'direct', 'rendezvous'): (0.00017340214216053068, 140, '116338de39932b1bb18293ea'),
-    ('alltoallv', 'pairwise', 'eager'): (0.00010843434287804783, 84, 'cbd321a91633633b5d1418aa'),
-    ('alltoallv', 'pairwise', 'rendezvous'): (0.0004492014030519044, 172, 'bd5e27d0e987ea1227acad06'),
-    ('alltoallv', 'nonblocking', 'eager'): (9.282832877604166e-05, 84, 'cbd321a91633633b5d1418aa'),
-    ('alltoallv', 'nonblocking', 'rendezvous'): (0.0002717251336129214, 174, 'bd5e27d0e987ea1227acad06'),
+    ('alltoallv', 'pairwise', 'eager'): (0.00010711944171685397, 72, 'cbd321a91633633b5d1418aa'),
+    ('alltoallv', 'pairwise', 'rendezvous'): (0.0004478865018907105, 160, 'bd5e27d0e987ea1227acad06'),
+    ('alltoallv', 'nonblocking', 'eager'): (9.282832877604166e-05, 72, 'cbd321a91633633b5d1418aa'),
+    ('alltoallv', 'nonblocking', 'rendezvous'): (0.00027121023245172754, 162, 'bd5e27d0e987ea1227acad06'),
     ('alltoallv', 'staged', 'eager'): (0.00012008576250449441, 128, 'cbd321a91633633b5d1418aa'),
     ('alltoallv', 'staged', 'rendezvous'): (0.00021603305251024973, 168, 'bd5e27d0e987ea1227acad06'),
     ('alltoallv', 'direct', 'eager'): (0.00014952461912494104, 100, 'cbd321a91633633b5d1418aa'),

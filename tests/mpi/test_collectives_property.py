@@ -421,3 +421,147 @@ class TestChaos:
                     recvbufs[r][src].bytes, sendbufs[src][r].bytes
                 )
             assert np.array_equal(gslots[r].bytes, sendbufs[r][r].bytes)
+
+
+class TestAutoWithZeroCounts:
+    """Every collective under ``auto`` — static and autotuned — with
+    ragged counts that include zeros completes and matches the oracle.
+
+    ``auto`` resolves the alltoall family from each rank's own largest
+    block, so ranks may run different rungs in one call (here: a block
+    of 4 or fewer 8 KB elements stages, 5 go nonblocking).  That is only
+    safe while every rung treats a zero-byte block the same on the wire.
+    """
+
+    #: 8 KB per element: the staged threshold (32 KB) falls between 4 and 5
+    DT = contiguous(1024, DOUBLE)
+
+    @staticmethod
+    def _config(autotune: bool) -> MpiConfig:
+        return MpiConfig(autotune="on" if autotune else "off")
+
+    def _alltoallv(self, n_ranks, counts, autotune, nodes=2):
+        dt = self.DT.commit()
+        cluster = Cluster(nodes, -(-n_ranks // nodes))
+        per_node = -(-n_ranks // nodes)
+        world = MpiWorld(
+            cluster, [(r // per_node, r % per_node) for r in range(n_ranks)],
+            self._config(autotune),
+        )
+        rng = np.random.default_rng(sum(map(sum, counts)))
+        sendbufs = [
+            [alloc(world, r, dt.size * max(counts[r][d], 1), True)
+             for d in range(n_ranks)]
+            for r in range(n_ranks)
+        ]
+        recvbufs = [
+            [alloc(world, r, dt.size * max(counts[s][r], 1), True)
+             for s in range(n_ranks)]
+            for r in range(n_ranks)
+        ]
+        for row in sendbufs:
+            for b in row:
+                fill_random(b, rng)
+        for row in recvbufs:
+            for b in row:
+                b.fill(0)
+
+        def program(rank):
+            def run(mpi):
+                yield from alltoallv(
+                    mpi, sendbufs[rank], dt, counts[rank], recvbufs[rank],
+                    dt, [counts[s][rank] for s in range(n_ranks)],
+                    algorithm="auto",
+                )
+            return run
+
+        world.run({r: program(r) for r in range(n_ranks)})
+        for r in range(n_ranks):
+            for s in range(n_ranks):
+                c = counts[s][r]
+                assert np.array_equal(
+                    pack_bytes(dt, c, recvbufs[r][s].bytes),
+                    pack_bytes(dt, c, sendbufs[s][r].bytes),
+                ), f"rank {r} from {s}"
+
+    @pytest.mark.parametrize("autotune", [False, True])
+    def test_alltoallv_one_node_reproducer(self, autotune):
+        # rank 0's 40 KB block goes nonblocking, rank 1's 8 KB stages
+        self._alltoallv(2, [[5, 0], [0, 1]], autotune, nodes=1)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n_ranks=st.integers(2, 4),
+        data=st.data(),
+        autotune=st.booleans(),
+    )
+    def test_alltoallv_ragged(self, n_ranks, data, autotune):
+        counts = data.draw(st.lists(
+            st.lists(st.integers(0, 5), min_size=n_ranks, max_size=n_ranks),
+            min_size=n_ranks, max_size=n_ranks,
+        ))
+        self._alltoallv(n_ranks, counts, autotune)
+
+    @pytest.mark.parametrize("autotune", [False, True])
+    @pytest.mark.parametrize(
+        "op,count",
+        # gather's root must receive a positive count (its API contract)
+        [(op, c) for op in ("bcast", "gather", "allgather", "alltoall")
+         for c in (0, 1, 5) if (op, c) != ("gather", 0)],
+    )
+    def test_uniform_ops(self, op, count, autotune):
+        n = 3
+        dt = self.DT.commit()
+        world = build_world(n, config=self._config(autotune))
+        rng = np.random.default_rng(count)
+        nbytes = dt.size * max(count, 1)
+        sends = [[alloc(world, r, nbytes, True) for _ in range(n)]
+                 for r in range(n)]
+        recvs = [[alloc(world, r, nbytes, True) for _ in range(n)]
+                 for r in range(n)]
+        for row in sends:
+            for b in row:
+                fill_random(b, rng)
+        for row in recvs:
+            for b in row:
+                b.fill(0)
+        root = 1
+
+        def program(rank):
+            def run(mpi):
+                if op == "bcast":
+                    yield from bcast(mpi, sends[rank][0], dt, count, root=root)
+                elif op == "gather":
+                    yield from gather(
+                        mpi, sends[rank][0], dt, count,
+                        recvs[rank] if rank == root else None,
+                        dt if rank == root else None, count, root=root,
+                    )
+                elif op == "allgather":
+                    yield from allgather(
+                        mpi, sends[rank][0], dt, count, recvs[rank], dt, count
+                    )
+                else:
+                    yield from alltoall(
+                        mpi, sends[rank], dt, count, recvs[rank], dt, count
+                    )
+            return run
+
+        world.run({r: program(r) for r in range(n)})
+
+        def packed(buf):
+            return pack_bytes(dt, count, buf.bytes)
+
+        for r in range(n):
+            if op == "bcast":
+                assert np.array_equal(packed(sends[r][0]), packed(sends[root][0]))
+            elif op == "gather":
+                if r == root:
+                    for s in range(n):
+                        assert np.array_equal(packed(recvs[r][s]), packed(sends[s][0]))
+            elif op == "allgather":
+                for s in range(n):
+                    assert np.array_equal(packed(recvs[r][s]), packed(sends[s][0]))
+            else:
+                for s in range(n):
+                    assert np.array_equal(packed(recvs[r][s]), packed(sends[s][r]))
