@@ -37,7 +37,7 @@ class IpcOpenError(RuntimeError):
 
 
 class StagingError(RuntimeError):
-    """An injected staging-allocation failure (memory pressure)."""
+    """A rendezvous staging ring could not be allocated (memory exhausted)."""
 
 
 class TransferTimeout(RuntimeError):

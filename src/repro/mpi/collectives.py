@@ -253,14 +253,18 @@ def _traced(mpi: "RankContext", op: str, seq: int, algo: CollAlgorithm, body):
     Waits inside the collective inherit ``"<op>#<seq>/<algo>"`` as their
     detail, so a hang names the exact collective call.
     """
-    if _san.VERIFY is None:
+    ver = _san.VERIFY
+    if ver is None:
         yield from body
         return
-    vkey = _san.VERIFY.coll_begin(mpi.world, mpi.rank, op, seq, algo.value)
+    vkey = ver.coll_begin(mpi.world, mpi.rank, op, seq, algo.value)
     try:
         yield from body
     finally:
-        _san.VERIFY.coll_end(vkey)
+        # the verifier captured at entry: a deadlocked collective's frame
+        # is closed when its generator is finalized, which may be after
+        # the sanitizer was uninstalled
+        ver.coll_end(vkey)
 
 
 def _device_slots(slots: dict, rank: int, skip: set) -> list:

@@ -78,11 +78,6 @@ class MpiConfig:
     receiver_local_staging: bool = True
     #: UMA zero-copy for host staging buffers (copy-in/out protocol)
     zero_copy: bool = True
-    #: direction of the general RDMA pipeline (Section 4.1 mentions both):
-    #: "get" — sender packs into its own ring, receiver pulls (default,
-    #: the Fig 4 flow); "put" — receiver exposes its ring, the sender's
-    #: pack kernels write it directly through the mapped window
-    rdma_mode: str = "get"
 
     #: collective algorithm selection (docs/COLLECTIVES.md): one of
     #: "auto", "pairwise", "nonblocking", "staged", "direct".  "auto"
@@ -147,12 +142,6 @@ class MpiConfig:
             # a zero-credit window can never admit the first fragment
             raise ValueError(
                 f"pipeline_depth must be >= 1, got {self.pipeline_depth}"
-            )
-        if self.rdma_mode not in ("get", "put"):
-            # receiver() dispatches on this string; anything else would
-            # silently fall into the GET branch
-            raise ValueError(
-                f"rdma_mode must be 'get' or 'put', got {self.rdma_mode!r}"
             )
         if self.coll_algorithm not in (
             "auto", "pairwise", "nonblocking", "staged", "direct",

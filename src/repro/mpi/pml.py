@@ -163,18 +163,16 @@ def isend_coro(
         frag_bytes=frag_bytes,
         depth=depth,
         role="s",
+        tag=tag,
     )
     state.stats.peer = dest
     # RDMA resources are advertised in the RTS (Fig 4: the connection
     # request carries the memory handle and the local datatype's shape)
-    ring_key = None
     if s_info.loc == "device" and btl.supports_cuda_ipc:
         if s_info.contiguous:
             s_info.handle = IpcMemHandle.get(buf)
         else:
-            nbytes = frag_bytes * depth
-            state.ring = proc.acquire_staging("device", nbytes)
-            ring_key = nbytes
+            state.ring = state.take_ring("device")
             s_info.handle = IpcMemHandle.get(state.ring)
 
     cts_box = Mailbox(proc.sim, name=f"{tid}.cts")
@@ -224,13 +222,12 @@ def isend_coro(
     finally:
         if _ver is not None:
             _ver.wait_end(_vtok)  # idempotent (exception paths)
-        state.close()  # cancel any outstanding retransmit watchdogs
+        # cancel any outstanding retransmit watchdogs, free the rings
+        state.close()
         proc.unregister_handler(f"x{tid}.s.cts")
         state.unbind_all("done")
         # swallow duplicated/delayed ACKs that surface after completion
         state.seal()
-        if state.ring is not None:
-            proc.release_staging("device", state.ring)
     return result
 
 
@@ -289,6 +286,7 @@ def _matched_recv_coro(
         frag_bytes=s_info.frag_bytes,
         depth=s_info.ring_segments,
         role="r",
+        tag=env.tag,
     )
     state.stats.peer = env.source
     state.stats.protocol = protocol
@@ -308,6 +306,7 @@ def _matched_recv_coro(
             state.stats.fragments = 1
         proc.record_transfer(state.stats)
     finally:
+        state.close()  # free the rings
         state.unbind_all("frag", "done")
         # answer retransmissions of fragments whose final ACK was lost
         state.seal()
@@ -361,9 +360,11 @@ def _gpu_eager(
     """
     engine = proc.engine
     kind = "device" if gdr else "host"
+    # one pooled size for every eager message: none exceeds the limit
+    limit = proc.config.eager_limit
     if data is None:
         job = engine.pack_job(dt, count, buf, proc.config.engine)
-        bounce = proc.acquire_staging(kind, max(total, 256), zero_copy_map=not gdr)
+        bounce = proc.acquire_staging(kind, limit, zero_copy_map=not gdr)
         yield from job.process_all(bounce[:total])
         out = bounce.bytes[:total].copy()
     else:
@@ -371,7 +372,7 @@ def _gpu_eager(
         # a prefix fragment, not process_all (which demands the whole
         # posted count's bytes and would reject a short message)
         frag = job.range_fragment(0, 0, total)
-        bounce = proc.acquire_staging(kind, max(total, 256), zero_copy_map=not gdr)
+        bounce = proc.acquire_staging(kind, limit, zero_copy_map=not gdr)
         bounce.bytes[:total] = data[:total]
         yield from job.process_fragment(frag, bounce[:total])
         out = total

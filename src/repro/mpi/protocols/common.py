@@ -1,4 +1,13 @@
-"""Shared protocol plumbing: side descriptions, jobs, fragment plans."""
+"""Shared protocol plumbing: side descriptions, jobs, fragment plans, and
+the one fragment pipeline every rendezvous protocol runs.
+
+The paper describes both of its rendezvous protocols as the same loop
+(Section 4.1 RDMA, Section 4.2 copy-in/out): the sender packs fragment
+*i* into a ring slot and notifies, the receiver unpacks it and ACKs, the
+ACK frees the slot.  :func:`send_fragments` and :func:`receive_fragments`
+are that loop, once; a protocol module only supplies its sides' stages
+(where fragment *i* lives and how a side packs or unpacks it).
+"""
 
 from __future__ import annotations
 
@@ -11,12 +20,11 @@ import numpy as np
 from repro.cuda.ipc import IpcMemHandle
 from repro.datatype.convertor import Convertor
 from repro.datatype.ddt import Datatype
-from repro.faults.plan import IpcOpenError, TransferTimeout
-from repro.gpu_engine.engine import PackJob
-from repro.hw.memory import Buffer
+from repro.faults.plan import IpcOpenError, StagingError, TransferTimeout
+from repro.hw.memory import Buffer, OutOfMemory
 from repro.obs.stats import TransferStats
 from repro.sanitize import runtime as _san
-from repro.sim.core import Future, TimerHandle
+from repro.sim.core import Future, TimerHandle, all_of
 from repro.sim.resources import Mailbox, Semaphore
 
 if TYPE_CHECKING:
@@ -32,6 +40,8 @@ __all__ = [
     "choose_protocol",
     "feasible_protocols",
     "open_with_retry",
+    "send_fragments",
+    "receive_fragments",
 ]
 
 
@@ -156,6 +166,8 @@ class TransferState:
     #: qualifies AM handler names so a rank sending to *itself* (e.g. a
     #: collective's self-contribution) binds both sides without collision
     role: str = "s"
+    #: the message's tag (named by staging errors)
+    tag: Optional[int] = None
     #: structured per-transfer record, published to the rank's
     #: ``transfer_log`` by the PML when the protocol finishes
     stats: TransferStats = None  # type: ignore[assignment]
@@ -199,6 +211,8 @@ class TransferState:
         #: waits that must fail if the transfer times out (see _abort)
         self._waits: list[Future] = []
         self._closed = False
+        #: staging rings taken by :meth:`take_ring`, freed by :meth:`close`
+        self._rings: list[tuple[str, Buffer, bool]] = []
 
     # -- sender reliability: ACK tracking + retransmit -----------------------
     def expect_acks(self, n: int) -> Future:
@@ -424,11 +438,48 @@ class TransferState:
         self.proc.register_handler(name, tombstone)
 
     def close(self) -> None:
-        """Cancel every outstanding retransmit timer (transfer is over)."""
+        """The transfer is over: cancel every outstanding retransmit timer
+        and give back every staging ring it took, last taken first."""
         self._closed = True
         for timer in self._retrans_timers.values():
             timer.cancel()
         self._retrans_timers.clear()
+        rings, self._rings = self._rings, []
+        for kind, buf, mapped in reversed(rings):
+            self.proc.release_staging(kind, buf, zero_copy_map=mapped)
+
+    # -- staging ---------------------------------------------------------------
+    def take_ring(
+        self,
+        kind: str,
+        nbytes: Optional[int] = None,
+        zero_copy_map: bool = False,
+        optional: bool = False,
+    ) -> Optional[Buffer]:
+        """A staging buffer for this transfer, ``frag_bytes * depth`` by
+        default; :meth:`close` gives it back.
+
+        Every rendezvous staging ring is taken here.  ``optional`` rings
+        may come back ``None`` under injected staging pressure (see
+        :meth:`MpiProcess.acquire_staging`).  Memory exhaustion raises a
+        :class:`StagingError` naming the transfer, chained from the
+        allocator's ``OutOfMemory``.
+        """
+        if nbytes is None:
+            nbytes = self.frag_bytes * self.depth
+        try:
+            buf = self.proc.acquire_staging(
+                kind, nbytes, zero_copy_map=zero_copy_map, optional=optional
+            )
+        except OutOfMemory as err:
+            raise StagingError(
+                f"rank {self.proc.rank} -> peer {self.stats.peer}, tag "
+                f"{self.tag}: cannot allocate a {nbytes}-byte {kind} staging "
+                f"ring for transfer {self.tid}"
+            ) from err
+        if buf is not None:
+            self._rings.append((kind, buf, zero_copy_map))
+        return buf
 
     # -- observability helpers ----------------------------------------------
     def ranges(self) -> list[tuple[int, int]]:
@@ -475,10 +526,6 @@ class TransferState:
         """Route an AM handler's packets into this transfer's inbox."""
         return self.bind(suffix, lambda pkt, _btl: self.inbox.put(pkt))
 
-    def bind_credit(self, suffix: str) -> str:
-        """Make an AM handler release one pipeline credit per packet."""
-        return self.bind(suffix, lambda pkt, _btl: self.release_credit())
-
     def unbind_all(self, *suffixes: str) -> None:
         """Remove this side's handlers for the given suffixes."""
         for s in suffixes:
@@ -488,6 +535,73 @@ class TransferState:
         """Handler name on the peer side of the same transfer."""
         other = "r" if self.role == "s" else "s"
         return f"x{self.tid}.{other}.{suffix}"
+
+
+def send_fragments(state: TransferState, pack, ring_path: bool = False):
+    """Coroutine: the sender side of every credit-window pipeline.
+
+    Per fragment *i*: take a credit; when the ring is the data path
+    (``ring_path``: the peer reads the slot itself), wait until slot
+    ``i % depth`` is free; run the side's stage ``pack(i, lo, hi)``, a
+    sub-coroutine returning the payload to ship (``None`` when the peer
+    reads the ring); send the ``frag`` notification.  Then wait for every
+    ACK.  Notifications ride the reliability layer: unACKed fragments are
+    retransmitted with backoff and duplicate ACKs are dropped.
+    """
+    ranges = state.ranges()
+    all_acked = state.expect_acks(len(ranges))
+    state.bind("ack", state.on_ack)
+    try:
+        for i, (lo, hi) in enumerate(ranges):
+            yield state.acquire_credit()
+            if ring_path:
+                # don't repack a slot whose previous occupant is still
+                # unACKed (the lost-notification case, see slot_free)
+                yield state.slot_free(i)
+            payload = yield from pack(i, lo, hi)
+            state.send_frag({"i": i, "lo": lo, "hi": hi}, payload=payload)
+        yield all_acked
+    finally:
+        state.unbind_all("ack")
+    return state.total
+
+
+def receive_fragments(state: TransferState, unpack, chains: bool = False):
+    """Coroutine: the receiver side of every credit-window pipeline.
+
+    Each fresh ``frag`` notification (duplicates are dropped, or re-ACKed
+    when already retired) runs the side's stage ``unpack(i, lo, hi,
+    payload)``, then ACKs the fragment.  Fragments are retired in arrival
+    order, or with ``chains`` each in its own spawned chain, so the copy
+    of fragment *i+1* overlaps the unpack of fragment *i*.
+    """
+    n_frags = len(state.ranges())
+    spawned = []
+    fresh = 0
+    while fresh < n_frags:
+        pkt = yield state.inbox.get()
+        if state.frag_is_dup(pkt):
+            continue
+        fresh += 1
+        if chains:
+            spawned.append(state.proc.sim.spawn(
+                _retire(state, unpack, pkt), label="rdma-unpack"
+            ))
+        else:
+            yield from _retire(state, unpack, pkt)
+    if spawned:
+        yield all_of(state.proc.sim, spawned)
+    return state.total
+
+
+def _retire(state: TransferState, unpack, pkt):
+    """Unpack one fragment, ACK it, mark it done."""
+    i, lo, hi = pkt.header["i"], pkt.header["lo"], pkt.header["hi"]
+    state.frag_begin()
+    yield from unpack(i, lo, hi, pkt.payload)
+    state.frag_end()
+    state.btl.am_send(state.peer("ack"), {"i": i})
+    state.frag_done(i)
 
 
 class CpuSideJob:

@@ -17,131 +17,82 @@ one process uses device memory while the other only uses host memory").
 
 from __future__ import annotations
 
-from repro.mpi.protocols.common import CpuSideJob, SideInfo, TransferState
+from repro.mpi.protocols.common import (
+    CpuSideJob,
+    SideInfo,
+    TransferState,
+    receive_fragments,
+    send_fragments,
+)
 
 __all__ = ["sender", "receiver"]
 
 
-def _ring(state: TransferState, zero_copy: bool):
-    """Acquire the host staging ring (optionally UMA-mapped) and segments."""
-    nbytes = state.frag_bytes * state.depth
-    ring = state.proc.acquire_staging("host", nbytes, zero_copy_map=zero_copy)
-    segs = [
-        ring[i * state.frag_bytes : (i + 1) * state.frag_bytes]
-        for i in range(state.depth)
-    ]
-    return ring, segs
+def _side(state: TransferState, on_device: bool, direction: str):
+    """Take this side's rings; return its stage and the host ring.
+
+    The stage ``move(i, lo, hi, seg)`` moves fragment *i* between the
+    user buffer and its host ring segment ``seg``: the CPU convertor for
+    a host buffer; for a device buffer the GPU engine writing (or
+    reading) ``seg`` through UMA zero-copy, or a device ring segment plus
+    an explicit D2H (H2D) copy.
+    """
+    proc = state.proc
+    cfg = proc.config
+    zero_copy = on_device and cfg.zero_copy
+    ring = state.take_ring("host", zero_copy_map=zero_copy)
+    packing = direction == "pack"
+    if not on_device:
+        job = CpuSideJob(proc, state.dt, state.count, state.buf, direction)
+
+        def move(i, lo, hi, seg):
+            yield job.process_range(lo, hi, seg if packing else seg.bytes)
+
+        return move, ring
+    dev_ring = None if zero_copy else state.take_ring("device")
+    if packing:
+        job = proc.engine.pack_job(state.dt, state.count, state.buf, cfg.engine)
+    else:
+        job = proc.engine.unpack_job(state.dt, state.count, state.buf, cfg.engine)
+
+    def move(i, lo, hi, seg):
+        frag = job.range_fragment(i, lo, hi)
+        if dev_ring is None:
+            # the kernel streams straight through the mapped host
+            # segment, PCIe co-occupied (Fig 7's "cpy")
+            yield from job.process_fragment(frag, seg)
+            return
+        dseg = dev_ring[(i % state.depth) * state.frag_bytes :][: hi - lo]
+        if packing:
+            yield from job.process_fragment(frag, dseg)
+            yield proc.gpu.memcpy_d2h(seg, dseg)
+        else:
+            yield proc.gpu.memcpy_h2d(dseg, seg)
+            yield from job.process_fragment(frag, dseg)
+
+    return move, ring
 
 
 def sender(state: TransferState, s_info: SideInfo, r_info: SideInfo, cts: dict):
     """Sender side of the copy-in/out pipeline (pack -> stage -> wire)."""
-    proc = state.proc
-    cfg = proc.config
-    ranges = state.ranges()
-    all_acked = state.expect_acks(len(ranges))
-    state.bind("ack", state.on_ack)
-    if not ranges:
-        # zero-byte message: nothing to stage, nothing to pipeline
-        state.unbind_all("ack")
-        return state.total
+    move, ring = _side(state, s_info.loc == "device", "pack")
 
-    on_device = s_info.loc == "device"
-    zero_copy = on_device and cfg.zero_copy
-    ring, segs = _ring(state, zero_copy)
-    dev_stage = None
-    if on_device and not zero_copy:
-        dev_stage = proc.acquire_staging(
-            "device", state.frag_bytes * state.depth
-        )
-    try:
-        if on_device:
-            job = proc.engine.pack_job(state.dt, state.count, state.buf, cfg.engine)
-        else:
-            job = CpuSideJob(proc, state.dt, state.count, state.buf, "pack")
-        for i, (lo, hi) in enumerate(ranges):
-            yield state.acquire_credit()
-            seg = segs[i % state.depth][: hi - lo]
-            if on_device:
-                frag = job.range_fragment(i, lo, hi)
-                if zero_copy:
-                    # the pack kernel streams straight into the mapped
-                    # host segment, PCIe co-occupied (Fig 7's "cpy")
-                    yield from job.process_fragment(frag, seg)
-                else:
-                    dseg = segs_dev(dev_stage, state, i)[: hi - lo]
-                    yield from job.process_fragment(frag, dseg)
-                    yield proc.gpu.memcpy_d2h(seg, dseg)
-            else:
-                yield job.process_range(lo, hi, seg)
-            state.send_frag(
-                {"i": i, "lo": lo, "hi": hi}, payload=seg.bytes
-            )
-        yield all_acked
-    finally:
-        state.proc.release_staging("host", ring, zero_copy_map=zero_copy)
-        if dev_stage is not None:
-            proc.release_staging("device", dev_stage)
-        state.unbind_all("ack")
-    return state.total
+    def pack(i, lo, hi):
+        seg = ring[(i % state.depth) * state.frag_bytes :][: hi - lo]
+        yield from move(i, lo, hi, seg)
+        return seg.bytes
 
-
-def segs_dev(dev_stage, state: TransferState, i: int):
-    """Device-staging ring segment for fragment ``i``."""
-    lo = (i % state.depth) * state.frag_bytes
-    return dev_stage[lo : lo + state.frag_bytes]
+    return (yield from send_fragments(state, pack))
 
 
 def receiver(state: TransferState, s_info: SideInfo, r_info: SideInfo):
-    """Receiver side of the copy-in/out pipeline (deposit -> unpack).
+    """Receiver side of the copy-in/out pipeline (deposit -> unpack)."""
+    move, ring = _side(state, r_info.loc == "device", "unpack")
 
-    Duplicate fragment notifications (retransmissions whose original made
-    it through) are suppressed and re-ACKed, so a lossy transport still
-    unpacks each fragment exactly once.
-    """
-    proc, btl = state.proc, state.btl
-    cfg = proc.config
-    n_frags = len(state.ranges())
-    if n_frags == 0:
-        state.unbind_all("frag")
-        return state.total
-    on_device = r_info.loc == "device"
-    zero_copy = on_device and cfg.zero_copy
-    ring, segs = _ring(state, zero_copy)
-    dev_stage = None
-    if on_device and not zero_copy:
-        dev_stage = proc.acquire_staging("device", state.frag_bytes * state.depth)
-    try:
-        if on_device:
-            job = proc.engine.unpack_job(state.dt, state.count, state.buf, cfg.engine)
-        else:
-            job = CpuSideJob(proc, state.dt, state.count, state.buf, "unpack")
-        fresh = 0
-        while fresh < n_frags:
-            pkt = yield state.inbox.get()
-            if state.frag_is_dup(pkt):
-                continue
-            fresh += 1
-            state.frag_begin()
-            i, lo, hi = pkt.header["i"], pkt.header["lo"], pkt.header["hi"]
-            seg = segs[i % state.depth][: hi - lo]
-            # the wire deposited the fragment into our posted staging
-            seg.bytes[:] = pkt.payload[: hi - lo]
-            if on_device:
-                frag = job.range_fragment(i, lo, hi)
-                if zero_copy:
-                    yield from job.process_fragment(frag, seg)
-                else:
-                    dseg = segs_dev(dev_stage, state, i)[: hi - lo]
-                    yield proc.gpu.memcpy_h2d(dseg, seg)
-                    yield from job.process_fragment(frag, dseg)
-            else:
-                yield job.process_range(lo, hi, seg.bytes)
-            state.frag_end()
-            btl.am_send(state.peer("ack"), {"i": i})
-            state.frag_done(i)
-    finally:
-        proc.release_staging("host", ring, zero_copy_map=zero_copy)
-        if dev_stage is not None:
-            proc.release_staging("device", dev_stage)
-        state.unbind_all("frag")
-    return state.total
+    def unpack(i, lo, hi, payload):
+        seg = ring[(i % state.depth) * state.frag_bytes :][: hi - lo]
+        # the wire deposited the fragment into our posted staging
+        seg.bytes[:] = payload[: hi - lo]
+        yield from move(i, lo, hi, seg)
+
+    return (yield from receive_fragments(state, unpack))

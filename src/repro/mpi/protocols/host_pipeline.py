@@ -10,67 +10,45 @@ comparison configuration.
 
 from __future__ import annotations
 
-from repro.mpi.protocols.common import CpuSideJob, SideInfo, TransferState
+from repro.mpi.protocols.common import (
+    CpuSideJob,
+    SideInfo,
+    TransferState,
+    receive_fragments,
+    send_fragments,
+)
 
 __all__ = ["sender", "receiver"]
 
 
 def sender(state: TransferState, s_info: SideInfo, r_info: SideInfo, cts: dict):
-    """Sender side: pack fragments, send, respect the credit window.
+    """Sender side: CPU-pack each fragment into one staging buffer.
 
-    Fragment notifications ride the reliability layer: unACKed fragments
-    are retransmitted with backoff, duplicate ACKs are suppressed, and a
-    zero-fragment (empty) message completes immediately.
+    A contiguous buffer ships its own bytes: no staging, no CPU op.
     """
-    proc = state.proc
-    ranges = state.ranges()
-    all_acked = state.expect_acks(len(ranges))
-    state.bind("ack", state.on_ack)
-    job = CpuSideJob(proc, state.dt, state.count, state.buf, "pack")
-    stage = None
-    if ranges and not job.contiguous:
-        stage = proc.acquire_staging("host", state.frag_bytes)
-    try:
-        for i, (lo, hi) in enumerate(ranges):
-            yield state.acquire_credit()
-            if job.contiguous:
-                payload = state.buf.bytes[lo:hi]
-            else:
-                yield job.process_range(lo, hi, stage)
-                payload = stage.bytes[: hi - lo]
-            state.send_frag({"i": i, "lo": lo, "hi": hi}, payload=payload)
-        yield all_acked
-    finally:
-        if stage is not None:
-            proc.release_staging("host", stage)
-        state.unbind_all("ack")
-    return state.total
+    job = CpuSideJob(state.proc, state.dt, state.count, state.buf, "pack")
+    if job.contiguous:
+        user = state.buf.bytes
+
+        def pack(i, lo, hi):
+            yield from ()  # nothing to wait for
+            return user[lo:hi]
+
+    else:
+        stage = state.take_ring("host", state.frag_bytes)
+
+        def pack(i, lo, hi):
+            yield job.process_range(lo, hi, stage)
+            return stage.bytes[: hi - lo]
+
+    return (yield from send_fragments(state, pack))
 
 
 def receiver(state: TransferState, s_info: SideInfo, r_info: SideInfo):
-    """Receiver side: unpack each arriving fragment, acknowledge it.
+    """Receiver side: CPU-unpack each fragment straight from its payload."""
+    job = CpuSideJob(state.proc, state.dt, state.count, state.buf, "unpack")
 
-    Retransmitted duplicates are suppressed (re-ACKed when already
-    processed), so a lossy transport converges on exactly-once unpack.
-    """
-    proc, btl = state.proc, state.btl
-    n_frags = len(state.ranges())
-    if n_frags == 0:
-        return state.total
-    job = CpuSideJob(proc, state.dt, state.count, state.buf, "unpack")
-    fresh = 0
-    try:
-        while fresh < n_frags:
-            pkt = yield state.inbox.get()
-            if state.frag_is_dup(pkt):
-                continue
-            fresh += 1
-            state.frag_begin()
-            i, lo, hi = pkt.header["i"], pkt.header["lo"], pkt.header["hi"]
-            yield job.process_range(lo, hi, pkt.payload)
-            state.frag_end()
-            btl.am_send(state.peer("ack"), {"i": i})
-            state.frag_done(i)
-    finally:
-        state.unbind_all("frag")
-    return state.total
+    def unpack(i, lo, hi, payload):
+        yield job.process_range(lo, hi, payload)
+
+    return (yield from receive_fragments(state, unpack))

@@ -35,7 +35,13 @@ from __future__ import annotations
 
 from repro.cuda.ipc import IpcMemHandle
 from repro.faults.plan import IpcOpenError
-from repro.mpi.protocols.common import SideInfo, TransferState, open_with_retry
+from repro.mpi.protocols.common import (
+    SideInfo,
+    TransferState,
+    open_with_retry,
+    receive_fragments,
+    send_fragments,
+)
 from repro.mpi.protocols.copy_in_out import receiver as copyinout_receiver
 from repro.sim.core import all_of
 
@@ -53,6 +59,11 @@ def transfer_mode(s_info: SideInfo, r_info: SideInfo) -> str:
     return "general"
 
 
+def _slot(state: TransferState, ring, i: int, n: int):
+    """Ring segment of fragment ``i`` (``n`` bytes long)."""
+    return ring[(i % state.depth) * state.frag_bytes :][:n]
+
+
 # ---------------------------------------------------------------------------
 # sender
 # ---------------------------------------------------------------------------
@@ -62,61 +73,34 @@ def sender(state: TransferState, s_info: SideInfo, r_info: SideInfo, cts: dict):
     """Sender side of the pipelined RDMA protocol (mode-dispatched)."""
     mode = cts["mode"]
     state.stats.mode = mode
-    if mode == "general":
-        return (yield from _sender_general(state, cts))
-    if mode == "general_put":
-        return (yield from _sender_put(state, cts))
-    if mode == "recv_contig":
-        return (yield from _sender_into_receiver(state, r_info, cts))
-    # send_contig / both_contig: one-sided GET by the receiver; just wait
-    done = yield state.inbox.get()
-    assert done.header.get("done")
-    return state.total
-
-
-def _sender_general(state: TransferState, cts: dict):
-    """Pack fragments into the ring; notify; recycle on ACK.
-
-    Notifications ride the reliability layer: unACKed fragments are
-    re-notified with backoff and duplicate ACKs are suppressed, so the
-    credit window (and therefore ring-slot reuse) stays consistent even
-    over a faulted transport.
-    """
     proc = state.proc
-    ring = state.ring  # our device ring, allocated by the PML pre-RTS
-    ranges = state.ranges()
-    all_acked = state.expect_acks(len(ranges))
-    state.bind("ack", state.on_ack)
-    try:
+    if mode == "general":
+        # pack each fragment into our device ring (allocated by the PML
+        # before the RTS); the receiver reads the slot itself
         job = proc.engine.pack_job(
             state.dt, state.count, state.buf, proc.config.engine
         )
-        for i, (lo, hi) in enumerate(ranges):
-            yield state.acquire_credit()
-            # the ring is the data path: don't repack a slot whose
-            # previous occupant is still unACKed (lost-notification case)
-            yield state.slot_free(i)
-            slot = i % state.depth
-            seg = ring[slot * state.frag_bytes :][: hi - lo]
+
+        def pack(i, lo, hi):
             frag = job.range_fragment(i, lo, hi)
+            seg = _slot(state, state.ring, i, hi - lo)
             yield from job.process_fragment(frag, seg)
-            state.send_frag({"i": i, "lo": lo, "hi": hi, "slot": slot})
-        yield all_acked
-    finally:
-        state.unbind_all("ack")
-    return state.total
 
-
-def _sender_into_receiver(state: TransferState, r_info: SideInfo, cts: dict):
-    """Receiver is contiguous: pack kernels write its buffer directly."""
-    proc, btl = state.proc, state.btl
-    handle: IpcMemHandle = cts["handle"]
-    mapped = yield from open_with_retry(state, handle)
-    job = proc.engine.pack_job(state.dt, state.count, state.buf, proc.config.engine)
-    for i, (lo, hi) in enumerate(state.ranges()):
-        frag = job.range_fragment(i, lo, hi)
-        yield from job.process_fragment(frag, mapped[lo:hi])
-    btl.am_send(state.peer("done"), {"done": True})
+        return (yield from send_fragments(state, pack, ring_path=True))
+    if mode == "recv_contig":
+        # receiver contiguous: pack kernels write its buffer directly
+        mapped = yield from open_with_retry(state, cts["handle"])
+        job = proc.engine.pack_job(
+            state.dt, state.count, state.buf, proc.config.engine
+        )
+        for i, (lo, hi) in enumerate(state.ranges()):
+            frag = job.range_fragment(i, lo, hi)
+            yield from job.process_fragment(frag, mapped[lo:hi])
+        state.btl.am_send(state.peer("done"), {"done": True})
+        return state.total
+    # send_contig / both_contig: one-sided GET by the receiver; just wait
+    done = yield state.inbox.get()
+    assert done.header.get("done")
     return state.total
 
 
@@ -129,15 +113,39 @@ def receiver(state: TransferState, s_info: SideInfo, r_info: SideInfo):
     """Receiver side of the pipelined RDMA protocol (mode-dispatched)."""
     mode = transfer_mode(s_info, r_info)
     state.stats.mode = mode
-    if mode == "general":
-        if state.proc.config.rdma_mode == "put":
-            return (yield from _receiver_put(state, s_info, r_info))
-        return (yield from _receiver_general(state, s_info, r_info))
-    if mode == "send_contig":
-        return (yield from _receiver_from_sender(state, s_info, r_info))
+    proc, btl = state.proc, state.btl
     if mode == "recv_contig":
-        return (yield from _receiver_exposed(state, r_info))
-    return (yield from _receiver_get_contig(state, s_info, r_info))
+        # receiver contiguous: expose the buffer; the sender packs into it
+        r_info.handle = IpcMemHandle.get(state.buf)
+        _cts(state, r_info, mode, handle=r_info.handle)
+        done = yield state.inbox.get()
+        assert done.header.get("done")
+        return state.total
+    # map the sender's ring or user buffer (one-time RDMA connection
+    # establishment; the registration is cached)
+    try:
+        mapped = yield s_info.handle.open(
+            proc.gpu, proc.ipc_cache, faults=proc.faults
+        )
+    except IpcOpenError:
+        return (yield from _fallback_copyinout(state, s_info, r_info))
+    sender_gpu = s_info.handle.source_gpu
+    if mode == "both_contig":
+        _cts(state, r_info, mode)
+        yield from _get_contig(state, mapped, sender_gpu)
+    else:
+        local = _local_stage(state, sender_gpu)
+        _cts(state, r_info, mode)
+        unpack = _unpack_stage(state, sender_gpu, local)
+        if mode == "general":
+
+            def from_ring(i, lo, hi, _payload):
+                return unpack(i, lo, hi, _slot(state, mapped, i, hi - lo))
+
+            return (yield from receive_fragments(state, from_ring, chains=True))
+        yield from _get_fragments(state, unpack, mapped)
+    btl.am_send(state.peer("done"), {"done": True})
+    return state.total
 
 
 def _cts(state: TransferState, r_info: SideInfo, mode: str, **extra) -> None:
@@ -165,263 +173,86 @@ def _fallback_copyinout(state: TransferState, s_info: SideInfo, r_info: SideInfo
     return (yield from copyinout_receiver(state, s_info, r_info))
 
 
-def _acquire_local_stage(state: TransferState):
+def _local_stage(state: TransferState, sender_gpu):
     """The optional receiver-side staging ring, degrading gracefully.
 
+    Only a cross-GPU receiver with ``receiver_local_staging`` takes one.
     Under allocation pressure (or an injected staging fault) the
-    receiver simply unpacks straight from the remote ring — correct,
+    receiver simply unpacks straight from the remote memory — correct,
     just without the Section 5.2.1 grouping win.
     """
     proc = state.proc
-    stage = proc.acquire_staging(
-        "device", state.frag_bytes * state.depth, optional=True
-    )
-    if stage is None:
+    if not (proc.config.receiver_local_staging and sender_gpu is not proc.gpu):
+        return None
+    local = state.take_ring("device", optional=True)
+    if local is None:
         state.stats.fallback = "direct_unpack"
         proc.metrics.counter("pml.fallback.direct_unpack").inc()
-    return stage
+    return local
 
 
-def _receiver_general(state: TransferState, s_info: SideInfo, r_info: SideInfo):
-    proc, btl = state.proc, state.btl
-    cfg = proc.config
-    # map the sender's ring (one-time RDMA connection establishment)
-    try:
-        mapped_ring = yield s_info.handle.open(
-            proc.gpu, proc.ipc_cache, faults=proc.faults
-        )
-    except IpcOpenError:
-        return (yield from _fallback_copyinout(state, s_info, r_info))
-    sender_gpu = s_info.handle.source_gpu
+def _unpack_stage(state: TransferState, sender_gpu, local):
+    """The receiver's per-fragment IPC stage.
+
+    ``unpack(i, lo, hi, src)`` retires fragment *i* from the mapped
+    remote segment ``src``: a CUDA IPC event wait on the engine the
+    fragment will use, then the unpack kernel, reading ``src`` across
+    the link or, with a ``local`` stage, a local copy made by one
+    PCIe-friendly peer copy (Section 5.2.1's 10-15 %).
+    """
+    proc = state.proc
     cross_gpu = sender_gpu is not proc.gpu
-    local_stage = None
-    if cfg.receiver_local_staging and cross_gpu:
-        local_stage = _acquire_local_stage(state)
-    _cts(state, r_info, "general")
-    try:
-        job = proc.engine.unpack_job(state.dt, state.count, state.buf, cfg.engine)
+    job = proc.engine.unpack_job(
+        state.dt, state.count, state.buf, proc.config.engine
+    )
+    link = (
+        proc.gpu.p2p_links[sender_gpu.name] if cross_gpu else proc.gpu.copy_engine
+    )
+    sync = proc.node.params.ipc_frag_sync_cost
 
-        def handle(pkt):
-            """Per-fragment chain: [stage copy] -> unpack -> ACK.
-
-            Spawned per fragment so the P2P copy of fragment i+1 overlaps
-            the unpack kernel of fragment i; the p2p link and the unpack
-            stream each serialize their own stage.
-            """
-            i, lo, hi = pkt.header["i"], pkt.header["lo"], pkt.header["hi"]
-            slot = pkt.header["slot"]
-            state.frag_begin()
-            remote_seg = mapped_ring[slot * state.frag_bytes :][: hi - lo]
-            frag = job.range_fragment(i, lo, hi)
-            # CUDA IPC event wait before touching the remote-owned segment
-            # — serializes on the engine the fragment will use
-            sync = proc.node.params.ipc_frag_sync_cost
-            engine_link = (
-                proc.gpu.p2p_links[sender_gpu.name]
-                if cross_gpu
-                else proc.gpu.copy_engine
-            )
-            yield engine_link.transfer(0, extra_overhead=sync, label="ipc-sync")
-            if local_stage is not None:
-                lseg = local_stage[slot * state.frag_bytes :][: hi - lo]
-                yield proc.gpu.memcpy_peer(lseg, remote_seg, sender_gpu)
-                yield from job.process_fragment(frag, lseg)
-            else:
-                # unpack straight out of the (possibly remote) ring segment
-                yield from job.process_fragment(frag, remote_seg)
-            state.frag_end()
-            btl.am_send(state.peer("ack"), {"i": i})
-            state.frag_done(i)
-
-        n_frags = len(state.ranges())
-        chains = []
-        fresh = 0
-        while fresh < n_frags:
-            pkt = yield state.inbox.get()
-            if state.frag_is_dup(pkt):
-                continue
-            fresh += 1
-            chains.append(proc.sim.spawn(handle(pkt), label="rdma-unpack"))
-        yield all_of(proc.sim, chains)
-    finally:
-        if local_stage is not None:
-            proc.release_staging("device", local_stage)
-    return state.total
-
-
-def _receiver_from_sender(
-    state: TransferState, s_info: SideInfo, r_info: SideInfo
-):
-    """Sender contiguous: unpack directly from its mapped user buffer."""
-    proc, btl = state.proc, state.btl
-    cfg = proc.config
-    try:
-        mapped = yield s_info.handle.open(
-            proc.gpu, proc.ipc_cache, faults=proc.faults
-        )
-    except IpcOpenError:
-        return (yield from _fallback_copyinout(state, s_info, r_info))
-    sender_gpu = s_info.handle.source_gpu
-    cross_gpu = sender_gpu is not proc.gpu
-    local_stage = None
-    if cfg.receiver_local_staging and cross_gpu:
-        local_stage = _acquire_local_stage(state)
-    _cts(state, r_info, "send_contig")
-    job = proc.engine.unpack_job(state.dt, state.count, state.buf, cfg.engine)
-
-    def handle(i: int, lo: int, hi: int):
+    def unpack(i, lo, hi, src):
         frag = job.range_fragment(i, lo, hi)
-        src = mapped[lo:hi]
-        sync = proc.node.params.ipc_frag_sync_cost
-        engine_link = (
-            proc.gpu.p2p_links[sender_gpu.name]
-            if cross_gpu
-            else proc.gpu.copy_engine
-        )
-        yield engine_link.transfer(0, extra_overhead=sync, label="ipc-sync")
-        if local_stage is not None:
-            slot = i % state.depth
-            lseg = local_stage[slot * state.frag_bytes :][: hi - lo]
+        yield link.transfer(0, extra_overhead=sync, label="ipc-sync")
+        if local is not None:
+            lseg = _slot(state, local, i, hi - lo)
             yield proc.gpu.memcpy_peer(lseg, src, sender_gpu)
-            yield from job.process_fragment(frag, lseg)
-        else:
-            yield from job.process_fragment(frag, src)
+            src = lseg
+        yield from job.process_fragment(frag, src)
+
+    return unpack
+
+
+def _get_fragments(state: TransferState, unpack, mapped):
+    """Sender contiguous: unpack straight out of its mapped user buffer.
+
+    "The receiver can use the sender buffer directly for its unpack
+    operation, without the need for further synchronizations": no
+    notifications, no ACKs; the credit window only bounds how many local
+    staging slots are in flight.
+    """
+    proc = state.proc
+
+    def chain(i, lo, hi):
+        yield from unpack(i, lo, hi, mapped[lo:hi])
         state.release_credit()
 
-    try:
-        chains = []
-        for i, (lo, hi) in enumerate(state.ranges()):
-            # the credit window bounds how many staging slots are in flight
-            yield state.acquire_credit()
-            chains.append(proc.sim.spawn(handle(i, lo, hi), label="get-unpack"))
-        yield all_of(proc.sim, chains)
-    finally:
-        if local_stage is not None:
-            proc.release_staging("device", local_stage)
-    btl.am_send(state.peer("done"), {"done": True})
-    return state.total
+    chains = []
+    for i, (lo, hi) in enumerate(state.ranges()):
+        yield state.acquire_credit()
+        chains.append(proc.sim.spawn(chain(i, lo, hi), label="get-unpack"))
+    yield all_of(proc.sim, chains)
 
 
-def _receiver_exposed(state: TransferState, r_info: SideInfo):
-    """Receiver contiguous: expose the buffer; sender packs into it."""
-    r_info.handle = IpcMemHandle.get(state.buf)
-    _cts(state, r_info, "recv_contig", handle=r_info.handle)
-    done = yield state.inbox.get()
-    assert done.header.get("done")
-    return state.total
-
-
-def _receiver_get_contig(
-    state: TransferState, s_info: SideInfo, r_info: SideInfo
-):
+def _get_contig(state: TransferState, mapped, sender_gpu):
     """Both contiguous: a single one-sided GET of the whole message."""
-    proc, btl = state.proc, state.btl
-    try:
-        mapped = yield s_info.handle.open(
-            proc.gpu, proc.ipc_cache, faults=proc.faults
-        )
-    except IpcOpenError:
-        return (yield from _fallback_copyinout(state, s_info, r_info))
-    sender_gpu = s_info.handle.source_gpu
-    _cts(state, r_info, "both_contig")
+    proc = state.proc
     if sender_gpu is proc.gpu:
         yield proc.gpu.memcpy_d2d(state.buf, mapped[: state.total])
-    else:
-        # pipelined GET: fragments hide per-op overhead behind the wire
-        futs = []
-        for lo, hi in state.ranges():
-            futs.append(
-                proc.gpu.memcpy_peer(
-                    state.buf[lo:hi], mapped[lo:hi], sender_gpu
-                )
-            )
-        for f in futs:
-            yield f
-    btl.am_send(state.peer("done"), {"done": True})
-    return state.total
-
-
-# ---------------------------------------------------------------------------
-# PUT-driven general mode (Section 4.1's alternative direction)
-# ---------------------------------------------------------------------------
-
-
-def _receiver_put(state: TransferState, s_info: SideInfo, r_info: SideInfo):
-    """Expose a local ring; the sender packs into it through the window.
-
-    The staging copy of the GET flow disappears — fragments land already
-    local — at the price of the sender's kernels writing through PCIe at
-    the remote-access efficiency.  (The ring here is the transfer
-    mechanism itself, not an optional optimization, so its allocation is
-    not subject to staging-pressure degradation.)
-    """
-    proc, btl = state.proc, state.btl
-    cfg = proc.config
-    state.stats.mode = "general_put"
-    ring = proc.acquire_staging("device", state.frag_bytes * state.depth)
-    handle = IpcMemHandle.get(ring)
-    _cts(state, r_info, "general_put", handle=handle)
-    try:
-        job = proc.engine.unpack_job(state.dt, state.count, state.buf, cfg.engine)
-
-        def handle_frag(pkt):
-            """Per-fragment chain: unpack the locally landed bytes, ACK."""
-            i, lo, hi = pkt.header["i"], pkt.header["lo"], pkt.header["hi"]
-            slot = pkt.header["slot"]
-            state.frag_begin()
-            seg = ring[slot * state.frag_bytes :][: hi - lo]
-            frag = job.range_fragment(i, lo, hi)
-            yield from job.process_fragment(frag, seg)
-            state.frag_end()
-            btl.am_send(state.peer("ack"), {"i": i})
-            state.frag_done(i)
-
-        n_frags = len(state.ranges())
-        chains = []
-        fresh = 0
-        while fresh < n_frags:
-            pkt = yield state.inbox.get()
-            if state.frag_is_dup(pkt):
-                continue
-            fresh += 1
-            chains.append(proc.sim.spawn(handle_frag(pkt), label="put-unpack"))
-        yield all_of(proc.sim, chains)
-    finally:
-        proc.release_staging("device", ring)
-    return state.total
-
-
-def _sender_put(state: TransferState, cts: dict):
-    """Pack fragments straight into the receiver's exposed ring."""
-    proc = state.proc
-    handle: IpcMemHandle = cts["handle"]
-    mapped = yield from open_with_retry(state, handle)
-    target_gpu = handle.source_gpu
-    cross_gpu = target_gpu is not proc.gpu
-    ranges = state.ranges()
-    all_acked = state.expect_acks(len(ranges))
-    state.bind("ack", state.on_ack)
-    try:
-        job = proc.engine.pack_job(state.dt, state.count, state.buf,
-                                   proc.config.engine)
-        for i, (lo, hi) in enumerate(ranges):
-            yield state.acquire_credit()
-            # the receiver's ring is the data path (see _sender_general)
-            yield state.slot_free(i)
-            slot = i % state.depth
-            seg = mapped[slot * state.frag_bytes :][: hi - lo]
-            # cross-process write fence before reusing the remote slot
-            sync = proc.node.params.ipc_frag_sync_cost
-            engine_link = (
-                proc.gpu.p2p_links[target_gpu.name]
-                if cross_gpu
-                else proc.gpu.copy_engine
-            )
-            yield engine_link.transfer(0, extra_overhead=sync, label="ipc-sync")
-            frag = job.range_fragment(i, lo, hi)
-            yield from job.process_fragment(frag, seg)
-            state.send_frag({"i": i, "lo": lo, "hi": hi, "slot": slot})
-        yield all_acked
-    finally:
-        state.unbind_all("ack")
-    return state.total
+        return
+    # pipelined GET: fragments hide per-op overhead behind the wire
+    futs = [
+        proc.gpu.memcpy_peer(state.buf[lo:hi], mapped[lo:hi], sender_gpu)
+        for lo, hi in state.ranges()
+    ]
+    for f in futs:
+        yield f

@@ -82,19 +82,6 @@ def test_chaos_byte_exact(kind, fault):
     assert world.stats().is_complete()
 
 
-@pytest.mark.parametrize("fault", ["drop", "dup", "delay", "everything"])
-def test_chaos_put_mode_byte_exact(fault):
-    """The PUT-driven ring pipeline survives the same plans."""
-    cfg = MpiConfig(
-        frag_bytes=2048,
-        eager_limit=0,
-        rdma_mode="put",
-        faults=FaultSpec(seed=11, **FAULT_KINDS[fault]),
-    )
-    want, got, _world = faulted_roundtrip("sm-2gpu", cfg)
-    assert np.array_equal(want, got)
-
-
 def test_chaos_seeded_runs_are_identical():
     """Same seed, same workload -> identical fault history and stats."""
     cfg = MpiConfig(

@@ -27,7 +27,6 @@ def test_but_keeps_validation():
         dict(frag_bytes=-1),
         dict(pipeline_depth=0),
         dict(eager_limit=-1),
-        dict(rdma_mode="push"),
         dict(coll_algorithm="bruck"),
         dict(coll_algorithm=""),
         dict(coll_algorithm="hierarchical"),  # rung removed

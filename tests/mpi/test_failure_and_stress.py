@@ -72,6 +72,38 @@ class TestFailureInjection:
         with pytest.raises(RuntimeError, match="application error"):
             world.run([bad, good])
 
+    def test_device_ring_exhaustion_is_a_staging_error(self):
+        """A GPU too full for the sender's 4 MB fragment ring fails the
+        send with a StagingError naming the transfer, chained from the
+        allocator's OutOfMemory, not with a raw OutOfMemory."""
+        from dataclasses import replace
+
+        from repro.datatype.ddt import vector
+        from repro.faults.plan import StagingError
+        from repro.hw.memory import OutOfMemory
+        from repro.hw.params import SystemParams
+
+        dt = vector(512, 64, 128, DOUBLE).commit()
+        base = SystemParams()
+        params = replace(
+            base, gpu=replace(base.gpu, memory_capacity=dt.extent + 64 * 1024)
+        )
+        world = MpiWorld(Cluster(1, 2, params=params), [(0, 0), (0, 1)])
+        bufs = [p.ctx.malloc(dt.extent) for p in world.procs]
+
+        def s(mpi):
+            yield mpi.send(bufs[0], dt, 1, dest=1, tag=7)
+
+        def r(mpi):
+            yield mpi.recv(bufs[1], dt, 1, source=0, tag=7)
+
+        with pytest.raises(StagingError) as exc:
+            world.run([s, r])
+        msg = str(exc.value)
+        for part in ("rank 0", "peer 1", "tag 7", "device", "4194304-byte"):
+            assert part in msg, msg
+        assert isinstance(exc.value.__cause__, OutOfMemory)
+
 
 class TestStress:
     def test_many_interleaved_transfers_one_pair(self, rng):

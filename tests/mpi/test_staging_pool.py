@@ -161,3 +161,36 @@ def test_mvapich_v_t_x_leaves_one_buffer_per_rank(kind, order):
         idle = whole_message_buffers(p)
         assert len(idle) == 1, f"rank {p.rank}: {idle}"
         assert idle[0].allocation.requested_nbytes == shapes["V"][0].datatype.size
+
+
+@pytest.mark.parametrize("kind", ["sm-2gpu", "ib"])
+def test_eager_bounces_share_one_size(kind):
+    """Device eager messages of several sizes (with and without
+    GPUDirect) leave idle bounce buffers of one size, the eager limit,
+    not one buffer per distinct message size."""
+    from repro.datatype.ddt import contiguous
+    from repro.datatype.primitives import DOUBLE
+
+    cfg = MpiConfig(use_gpudirect_rdma=(kind == "ib"))
+    env = make_env(kind, config=cfg)
+    world = env.world
+    dts = [contiguous(n, DOUBLE).commit() for n in (40, 300, 1000, 1536)]
+    assert all(dt.size <= cfg.eager_limit for dt in dts)
+    bufs = [p.ctx.malloc(dts[-1].size) for p in world.procs]
+
+    def rank0(mpi):
+        for dt in dts:
+            yield mpi.send(bufs[0], dt, 1, dest=1, tag=1)
+
+    def rank1(mpi):
+        for dt in dts:
+            yield mpi.recv(bufs[1], dt, 1, source=0, tag=1)
+
+    world.run([rank0, rank1])
+    for p in world.procs:
+        sizes = {
+            nbytes
+            for (_kind, nbytes, _mapped), idle in p._staging_pool.items()
+            if idle
+        }
+        assert sizes == {cfg.eager_limit}, f"rank {p.rank}: {sizes}"

@@ -94,8 +94,7 @@ def test_slot_reuse_without_ack_caught(monkeypatch):
             MpiConfig(
                 frag_bytes=2048,
                 eager_limit=0,
-                rdma_mode="put",
-                faults=FaultSpec(seed=11, am_drop=0.25),
+                faults=FaultSpec(seed=4, am_drop=0.25),
             ),
         )
     races = rep.by_code("race.unordered_access")

@@ -112,6 +112,36 @@ class TestDeadlockDetection:
         assert any("barrier" in v.message for v in rep.by_code("verify.deadlock"))
         assert any(v.code == "verify.barrier_incomplete" for v in findings)
 
+    def test_deadlocked_collective_frame_closes_cleanly(self, monkeypatch):
+        """A collective left blocked by a deadlock closes its verifier
+        frame when its generator is finalized, after the sanitizer was
+        uninstalled, without an "Exception ignored" report."""
+        import gc
+        import sys
+
+        from repro.mpi.collectives import bcast
+
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with _verify() as rep:
+            env = make_env("cpu")
+            dt = contiguous(4, DOUBLE).commit()
+            buf = env.world.procs[0].node.host_memory.alloc(dt.size)
+
+            def rank0(mpi):
+                yield from bcast(mpi, buf, dt, 1, root=1)
+
+            def rank1(mpi):
+                return
+                yield  # pragma: no cover
+
+            with pytest.raises(SimulationError, match="deadlock"):
+                env.world.run([rank0, rank1])
+        assert rep.by_code("verify.deadlock")
+        del env
+        gc.collect()
+        assert unraisable == []
+
     def test_pure_sim_deadlock_records_nothing(self):
         """A non-MPI stuck process must not fabricate verify violations."""
         from repro.sim.core import Future, Simulator
